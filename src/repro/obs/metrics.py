@@ -136,6 +136,16 @@ def render_key(name: str, labels: dict) -> str:
     return f"{name}{{{','.join(parts)}}}"
 
 
+def metric_family(key: str) -> str:
+    """The family name of a :func:`render_key` flat key, without parsing.
+
+    Exact because a family name never contains ``{``: the labels are the
+    only braces, so the family is everything before the first one.
+    """
+    brace = key.find("{")
+    return key if brace < 0 else key[:brace]
+
+
 def parse_key(key: str) -> tuple[str, dict]:
     """Split a :func:`render_key` flat key back into ``(name, labels)``.
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import parse_key
+from repro.obs.metrics import metric_family
 from repro.obs.telemetry.windows import FrameAggregator
 
 #: rule-kind names accepted in a rule file
@@ -225,7 +225,7 @@ class AlertEngine:
         matches = []
         for section in sections:
             for key in snapshot.get(section, {}):
-                if parse_key(key)[0] == metric:
+                if metric_family(key) == metric:
                     matches.append(key)
         return sorted(matches)
 
@@ -254,7 +254,7 @@ class AlertEngine:
             return agg.delta(metric, window_ns)
         total = 0.0
         for key in sorted(agg.counters):
-            if parse_key(key)[0] == metric:
+            if metric_family(key) == metric:
                 total += agg.delta(key, window_ns)
         return total
 

@@ -5,8 +5,9 @@ through; this module implements the engine behind it.  A numpy address
 stream is cut into *segments* inside which the simulation is closed-form:
 
 * a segment never crosses a **fault** — the first unmapped address ends
-  it, the fault is handled on the scalar slow path (policy, spans, audit),
-  and translation restarts because the handler may have mapped neighbours;
+  it, the faulting access runs through the exact per-access step (policy,
+  spans, audit), and translation restarts because the handler may have
+  mapped neighbours;
 * a segment never crosses the **daemon cadence** — after exactly
   ``daemon_period_accesses`` touches the background daemons run, and they
   may promote/demote pages and shoot down TLB entries, both of which
@@ -16,7 +17,15 @@ Within a segment the page table is static, so mappings are resolved
 per-*extent* rather than per-access: each page-table level is probed once
 per distinct VPN (``np.unique``) instead of once per access, and the TLB
 hierarchy is simulated by the vectorized reuse-distance kernel in
-:mod:`repro.tlb.batch`.  The engine is counter-for-counter identical to a
+:mod:`repro.tlb.batch`.
+
+A segment's numpy work has a fixed cost that a short stretch never earns
+back, so short and fault-dense stretches skip it: the translation window
+halves on every stretch that faults and doubles on every fault-free one,
+and any stretch of at most ``_SCALAR_CUTOFF`` accesses — a short call, a
+fault storm, the last few accesses before a daemon quantum — runs through
+``System._touch_one``, the body of ``System.touch``.  The step *is* the
+scalar reference path, so the engine is counter-for-counter identical to a
 scalar ``touch`` loop — including float accumulation order in
 ``TranslationStats`` and ``SimClock`` — which the equivalence suite in
 ``tests/sim/test_batch_equivalence.py`` locks down.
@@ -138,9 +147,9 @@ class BatchResult:
     walks: int = 0
     faults: int = 0
     fault_ns: float = 0.0
-    walks_by_size: dict[int, int] = field(
-        default_factory=lambda: {s: 0 for s in range(3)}
-    )
+    #: per geometry level; ``touch_batch`` fills every level of the
+    #: machine's geometry, so a bare result carries no levels at all
+    walks_by_size: dict[int, int] = field(default_factory=dict)
 
     @property
     def cycles(self) -> float:
@@ -148,16 +157,32 @@ class BatchResult:
         return self.translation_cycles
 
 
-#: first vectorized-translation window; grows toward ``_MAX_WINDOW`` while
-#: the stream is fault-free and shrinks back on a fault, so fault storms
-#: (cold first-touch passes) do not pay for repeatedly translating a long
-#: tail they never reach
-_MIN_WINDOW = 256
+#: longest stretch the engine runs through the exact per-access step
+#: (``System._touch_one``) rather than as a vectorized segment.  A segment
+#: pays a fixed numpy cost (page-table probe, two or three LRU kernel
+#: calls, cumsum folds) of ~0.4-0.7 ms on a 2-vCPU x86 host; the step pays
+#: ~2 us per access on a warm Trident GUPS process and ~6 us under 4KB
+#: pages.  ``scripts/measure_scalar_cutoff.py`` (lengths 8-512) puts the
+#: crossover past 512 accesses for Trident (~1024 extended), above 512 for
+#: 2MB-THP and at ~256 for 4KB; one constant serves every policy, so it
+#: sits at half the lowest crossover, where the step costs at most ~0.6x a
+#: segment under all three.
+_SCALAR_CUTOFF = 128
+#: the vectorized translation window never grows past this many accesses
 _MAX_WINDOW = 65536
 
 
 class BatchEngine:
-    """Vectorized executor behind ``System.touch_batch``."""
+    """Vectorized executor behind ``System.touch_batch``.
+
+    One dispatch rule, driven only by the input stream: the translation
+    window halves (toward 1) on every stretch that faults and doubles
+    (toward ``_MAX_WINDOW``) on every fault-free one, and any stretch of
+    at most ``_SCALAR_CUTOFF`` accesses runs through the exact per-access
+    step instead of numpy.  Short calls and fault storms therefore cost
+    what the scalar loop costs, while long fault-free streams stay on the
+    vectorized kernel.
+    """
 
     def __init__(self, system) -> None:
         self.system = system
@@ -175,29 +200,60 @@ class BatchEngine:
                 system.daemon_period_accesses - system._accesses_since_daemon,
             )
             end = min(n, i + min(room, self._window))
-            seg = vas[i:end]
-            sizes, fault_at, mapped_vpns = translate_segment(
-                process.pagetable, seg
-            )
-            if fault_at is not None:
-                end = i + fault_at
-                seg = seg[:fault_at]
-                sizes = sizes[:fault_at]
-                self._window = max(_MIN_WINDOW, fault_at * 2)
-                # The per-size VPN extents cover the untruncated probe
-                # window; recompute them over the survivors instead.
-                mapped_vpns = None
+            if end - i <= _SCALAR_CUTOFF:
+                faulted = self._step(process, vas[i:end])
+                i = end
+            else:
+                faulted, used = self._segment(process, vas[i:end])
+                i += used
+            if faulted:
+                self._window = max(1, self._window // 2)
             else:
                 self._window = min(_MAX_WINDOW, self._window * 2)
-            if len(seg):
-                self._touch_mapped(process, seg, sizes, mapped_vpns)
-                system._accesses_since_daemon += len(seg)
-            i = end
-            if fault_at is not None and i < n:
-                self._touch_faulting(process, int(vas[i]))
-                i += 1
+
+    def _segment(self, process, seg: np.ndarray):
+        """Translate ``seg`` in bulk and run it up to its first fault.
+
+        Returns ``(faulted, accesses consumed)``.  The access that faults —
+        with the mapped prefix before it, when that is no longer than the
+        cutoff — goes through the per-access step.
+        """
+        system = self.system
+        sizes, fault_at, mapped_vpns = translate_segment(
+            process.pagetable, seg
+        )
+        if fault_at is None:
+            self._touch_mapped(process, seg, sizes, mapped_vpns)
+            system._accesses_since_daemon += len(seg)
             if system._accesses_since_daemon >= system.daemon_period_accesses:
                 system.run_daemons()
+            return False, len(seg)
+        step_from = 0
+        if fault_at > _SCALAR_CUTOFF:
+            # The per-size VPN extents cover the untruncated probe window;
+            # the survivors' extents are recomputed instead.
+            self._touch_mapped(process, seg[:fault_at], sizes[:fault_at])
+            system._accesses_since_daemon += fault_at
+            step_from = fault_at
+        # The prefix stops short of the cadence, so no daemon check here:
+        # the step runs the daemons itself when the faulting access is due.
+        self._step(process, seg[step_from : fault_at + 1])
+        return True, fault_at + 1
+
+    # trd: scalar-fallback[short or fault-dense stretch, bounded by _SCALAR_CUTOFF]
+    def _step(self, process, stretch: np.ndarray) -> bool:
+        """Run ``stretch`` through the exact per-access step.
+
+        ``System._touch_one`` is the body of ``System.touch``: it faults,
+        records the touch, runs the TLB and the daemons at the cadence, so
+        the engine adds no bookkeeping of its own.  Returns whether any
+        access faulted.
+        """
+        touch_one = self.system._touch_one
+        faults = process.faults
+        for va in stretch.tolist():
+            touch_one(process, va)
+        return process.faults != faults
 
     def _touch_mapped(
         self, process, seg: np.ndarray, sizes: np.ndarray, mapped_vpns=None
@@ -225,18 +281,6 @@ class BatchEngine:
             for vpn in vpn_list:  # trd: ignore[TRD008] accessed-bit writes on distinct pages only; bounded by segment footprint, not access count
                 level[vpn].accessed = True
         hierarchy_touch_batch(process.tlb, sizes, seg)
-
-    def _touch_faulting(self, process, va: int) -> None:
-        """The access that ended the segment: scalar fault slow path.
-
-        Mirrors ``System.touch`` exactly: fault through the policy, record
-        the touch, then run the address through the TLB.
-        """
-        system = self.system
-        mapping = system._fault(process, va)
-        process.record_touch(va)
-        process.tlb.access(va, mapping)
-        system._accesses_since_daemon += 1
 
 
 def translate_segment(pagetable, seg: np.ndarray):

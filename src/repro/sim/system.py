@@ -329,6 +329,18 @@ class System:
         compatibility; new code reads ``.cycles`` / ``.faulted`` /
         ``.page_size``.  Bulk callers should use :meth:`touch_batch`.
         """
+        cycles, faulted, mapping = self._touch_one(process, va)
+        return TouchResult(cycles, faulted=faulted, page_size=mapping.page_size)
+
+    def _touch_one(self, process: Process, va: int):
+        """The exact per-access step: ``(cycles, faulted, mapping)``.
+
+        Translate, fault on demand through the policy, record the touch,
+        run the address through the TLB hierarchy, and give the daemons
+        their quantum when the cadence comes due.  :meth:`touch` wraps the
+        result; the batch engine loops it over short and fault-dense
+        stretches, so both paths share one scalar reference.
+        """
         mapping = process.pagetable.translate(va)
         faulted = mapping is None
         if faulted:
@@ -338,7 +350,7 @@ class System:
         self._accesses_since_daemon += 1
         if self._accesses_since_daemon >= self.daemon_period_accesses:
             self.run_daemons()
-        return TouchResult(cycles, faulted=faulted, page_size=mapping.page_size)
+        return cycles, faulted, mapping
 
     def _fault(self, process: Process, va: int):
         """Fault slow path, bracketed by a ``fault`` span.
@@ -398,10 +410,13 @@ class System:
 
         This is the primary hot-path API.  When the process translates
         through a native :class:`TLBHierarchy` the stream runs on the
-        vectorized batch engine (:mod:`repro.sim.batch`), which is
-        counter-for-counter identical to the scalar loop; otherwise (and
-        for subclasses that opt out via ``batch_hot_path``) it falls back
-        to per-access ``touch``.
+        batch engine (:mod:`repro.sim.batch`): long fault-free stretches
+        as vectorized segments, short or fault-dense ones through the
+        per-access step :meth:`_touch_one`, counter-for-counter identical
+        to the scalar loop either way.  Otherwise (and for subclasses that
+        opt out via ``batch_hot_path``) it falls back to per-access
+        ``touch``.  NUMA penalties are charged once per call, from the
+        call's aggregate counters.
         """
         vas = np.ascontiguousarray(np.asarray(vas, dtype=np.int64))
         stats = process.tlb.stats

@@ -388,7 +388,7 @@ def hierarchy_touch_batch(hierarchy, sizes: np.ndarray, vas: np.ndarray) -> None
             continue
         l2_hit[rows] = lru_batch_lookup(l2, vpns[miss_idx[rows]])
 
-    _accumulate_misses(hierarchy, miss_idx, miss_sizes, l2_hit, vpns)
+    _accumulate_misses(hierarchy, n, miss_idx, miss_sizes, l2_hit, vpns)
 
 
 def _seeded_total(initial: float, adds: np.ndarray) -> float:
@@ -404,7 +404,7 @@ def _seeded_total(initial: float, adds: np.ndarray) -> float:
 
 
 def _accumulate_misses(
-    hierarchy, miss_idx, miss_sizes, l2_hit, vpns
+    hierarchy, n, miss_idx, miss_sizes, l2_hit, vpns
 ) -> None:
     """Fold L1-miss costs into stats/clock/histograms in stream order.
 
@@ -412,9 +412,11 @@ def _accumulate_misses(
     float accumulators fold their per-event cost streams with seeded
     ``np.cumsum`` (see :func:`_seeded_total`), preserving the scalar
     path's accumulation order bit-for-bit.  When tracing is active or the
-    clock has advancement listeners (timeline sampling), the per-event
-    loop runs instead so event emission and listener callbacks fire at
-    the same points as the scalar path.
+    clock has advancement listeners (timeline sampling, telemetry
+    scrapes), the per-event loop runs instead so event emission and
+    listener callbacks fire at the same points as the scalar path, with
+    the access and L1-hit counters a listener reads rewound to what the
+    scalar path shows at that access (``n`` accesses were already added).
     """
     stats = hierarchy.stats
     walker = hierarchy.walker
@@ -465,9 +467,15 @@ def _accumulate_misses(
 
     walks_by_size = stats.walks_by_size
     miss_vpns = vpns[miss_idx]
-    for k, (size, hit2) in enumerate(  # trd: ignore[TRD008] per-event emission path, active only with tracer/clock listeners
-        zip(miss_sizes.tolist(), l2_hit.tolist())
+    accesses_end, l1_hits_end = stats.accesses, stats.l1_hits
+    accesses_before = accesses_end - n
+    l1_hits_before = l1_hits_end - (n - len(miss_idx))
+    for k, (pos, size, hit2) in enumerate(  # trd: ignore[TRD008] per-event emission path, active only with tracer/clock listeners
+        zip(miss_idx.tolist(), miss_sizes.tolist(), l2_hit.tolist())
     ):
+        # The k-th miss is access pos: pos - k L1 hits precede it.
+        stats.accesses = accesses_before + pos + 1
+        stats.l1_hits = l1_hits_before + pos - k
         if hit2:
             stats.l2_hits += 1
             stats.translation_cycles += l2c
@@ -493,3 +501,4 @@ def _accumulate_misses(
                     size=hierarchy._labels[size],
                     cycles=cycles,
                 )
+    stats.accesses, stats.l1_hits = accesses_end, l1_hits_end

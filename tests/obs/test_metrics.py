@@ -3,12 +3,22 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Histogram,
     MetricsRegistry,
+    metric_family,
     render_key,
+)
+
+_FAMILIES = st.from_regex(r"[a-zA-Z_:][a-zA-Z0-9_:]{0,20}", fullmatch=True)
+_LABEL_NAMES = st.from_regex(r"[a-zA-Z_][a-zA-Z0-9_]{0,10}", fullmatch=True)
+#: label values biased toward the characters that force the quoted form
+_LABEL_VALUES = st.text(
+    alphabet=st.sampled_from('ab1_.-"{}\\,=\n '), max_size=12
 )
 
 
@@ -252,6 +262,16 @@ class TestKeyEscaping:
 
         assert parse_key(key) == ("odd_total", {"path": 'x"y\nz'})
         assert snapshot["counters"][key] == 3
+
+    @given(
+        name=_FAMILIES,
+        labels=st.dictionaries(_LABEL_NAMES, _LABEL_VALUES, max_size=4),
+    )
+    def test_metric_family_matches_parse_key(self, name, labels):
+        from repro.obs.metrics import parse_key
+
+        key = render_key(name, labels)
+        assert metric_family(key) == parse_key(key)[0] == name
 
     def test_malformed_keys_raise(self):
         from repro.obs.metrics import parse_key
