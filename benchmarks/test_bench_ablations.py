@@ -11,7 +11,7 @@ Beyond the paper's own Figure 11 ablation, these cover:
 
 import random
 
-from repro.config import CostModel, PageGeometry, X86_GEOMETRY
+from repro.config import X86_GEOMETRY, CostModel, x86_ladder
 from repro.core.compaction import SmartCompactor
 from repro.core.rmap import ReverseMap
 from repro.experiments.runner import NativeRunner, RunConfig
@@ -71,7 +71,7 @@ def test_hypercall_batching_sweep(once):
 
 def test_smart_source_selection_ablation(once):
     """Most-free-first source selection is what cuts the copy volume."""
-    GEOM = PageGeometry(base_shift=12, mid_order=2, large_order=6)
+    GEOM = x86_ladder(2, 6)
 
     class Owner:
         def relocate(self, old, new, order):

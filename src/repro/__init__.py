@@ -6,7 +6,7 @@ Public API tour
 
 Configuration::
 
-    from repro import PageGeometry, PageSize, MachineConfig, default_machine
+    from repro import PageGeometry, MachineConfig, default_machine, x86_ladder
 
 Build a system and run a workload::
 
@@ -36,11 +36,12 @@ from repro.config import (
     CostModel,
     MachineConfig,
     PageGeometry,
-    PageSize,
+    PageLevel,
     TLBConfig,
-    TLBHierarchyConfig,
+    TLBSection,
     WalkConfig,
     default_machine,
+    x86_ladder,
 )
 from repro.core import (
     Baseline4KPolicy,
@@ -56,13 +57,14 @@ __version__ = "1.0.0"
 
 __all__ = [
     "PageGeometry",
-    "PageSize",
+    "PageLevel",
     "MachineConfig",
     "CostModel",
     "WalkConfig",
     "TLBConfig",
-    "TLBHierarchyConfig",
+    "TLBSection",
     "default_machine",
+    "x86_ladder",
     "X86_GEOMETRY",
     "SCALED_GEOMETRY",
     "SCALE_FACTOR",

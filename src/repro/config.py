@@ -5,13 +5,16 @@ The simulator is parameterised by a small set of dataclasses:
 * :class:`PageGeometry` — an ordered tuple of :class:`PageLevel` entries
   (N levels, smallest to largest), from which every size relation the
   paper uses (alignment, mappability, buddy orders, region counters, TLB
-  tag shifts) is derived.  The canonical instantiations are the x86-64
-  three-tier 4KB / 2MB / 1GB family, but the geometry is declarative:
-  RISC-V SVNAPOT (a *four*-level 4K/64K/2M/1G ladder) and ARM 16K-granule
+  tag shifts) is derived.  Each level also carries its own TLB shapes
+  (Table 1 of the paper) and page-walk behaviour, so the geometry is the
+  single description of a machine's page-size ladder.  The canonical
+  instantiations are the x86-64 three-tier 4KB / 2MB / 1GB family (see
+  :func:`x86_ladder`), but the geometry is declarative: RISC-V SVNAPOT
+  (a *four*-level 4K/64K/2M/1G ladder) and ARM 16K-granule
   configurations are expressed as data, not code (see
   :mod:`repro.geometries`).
-* :class:`MachineConfig` — physical memory size, TLB shapes (Table 1 of
-  the paper) and page-walk parameters.
+* :class:`MachineConfig` — physical memory size, the geometry, and the
+  machine-wide page-walk parameters.
 * :class:`CostModel` — the latency/bandwidth constants behind the paper's
   wall-clock claims (1GB fault 400 ms -> 2.7 ms with async zero-fill;
   copy-based 1GB promotion 600 ms vs ~500 us with a batched hypercall).
@@ -23,16 +26,11 @@ memory by the same factor; every claim in the paper is about ratios
 scaling preserves.
 
 Page sizes are identified by their **level index**: 0 is the base page,
-``n_levels - 1`` the largest declared level.  For three-tier geometries
-the indices coincide with the historical ``PageSize.BASE/MID/LARGE``
-constants (0/1/2), which survive only as a deprecated shim (see
-:class:`PageSize`).
+``n_levels - 1`` the largest declared level.
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass, field, replace
 
 
@@ -63,16 +61,15 @@ class TLBConfig:
 class TLBSection:
     """Per-level TLB section: a private L1 plus the L2 group it feeds.
 
-    ``l2`` names an entry of the geometry's ``l2_groups`` (several levels
-    may share one group, modelling Skylake's shared 4K/2M sTLB), or is
-    ``None`` for levels with no second-level coverage.
+    ``l2`` names an entry of the geometry's ``l2_groups``; several levels
+    may share one group, modelling Skylake's shared 4K/2M sTLB.
     """
 
     l1: TLBConfig
-    l2: str | None = "shared"
+    l2: str = "shared"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PageLevel:
     """One declared page size, ``order`` power-of-two base frames big.
 
@@ -85,26 +82,28 @@ class PageLevel:
       (the base level never is).
     * ``thp_target`` — marks the level THP-class policies promote to;
       exactly one non-base level may carry it (defaults to level 1).
-    * ``tlb`` — optional per-level TLB section; when every level carries
-      one, the hierarchy is built from the geometry instead of the legacy
-      three-tier :class:`TLBHierarchyConfig` fields.
-    * ``levels_skipped`` — radix levels a walk for this size skips
-      (``None`` means "level index", the x86 ladder: 4KB walks all 4
-      levels, 2MB skips 1, 1GB skips 2).  SVNAPOT's 64KB pages are NAPOT
-      PTEs and skip none.
+    * ``tlb`` — the level's TLB section: its private L1 and the L2 group
+      it feeds.
+    * ``levels_skipped`` — radix levels a walk for this size skips (the
+      x86 ladder: 4KB walks all 4 levels, 2MB skips 1, 1GB skips 2).
+      SVNAPOT's 64KB pages are NAPOT PTEs and skip none.
     * ``leaf_cached_prob`` — probability the walk's leaf entry sits in a
-      paging-structure cache (``None`` defers to the legacy 3-level
-      :class:`WalkConfig` constants).
+      paging-structure cache.  For x86 2MB and 1GB pages the leaf is a
+      PDE/PDPTE, which Intel's paging-structure caches also hold, so a
+      hit makes the whole walk (nearly) free; PTEs (base and NAPOT
+      leaves) are never cached.  This is why 1GB walks are much cheaper
+      than 2MB walks on real hardware, the effect the paper's Section 2
+      "quickens individual walks" point rests on.
     """
 
     name: str
     label: str
     order: int
+    tlb: TLBSection
+    levels_skipped: int
+    leaf_cached_prob: float
     promotable: bool = True
     thp_target: bool = False
-    tlb: TLBSection | None = None
-    levels_skipped: int | None = None
-    leaf_cached_prob: float | None = None
 
     def __post_init__(self) -> None:
         if self.order < 0:
@@ -113,58 +112,39 @@ class PageLevel:
             raise ValueError("page level needs a name")
         if not self.label:
             raise ValueError("page level needs a label")
+        if self.levels_skipped < 0:
+            raise ValueError(
+                f"levels_skipped must be >= 0, got {self.levels_skipped}"
+            )
+        if not 0.0 <= self.leaf_cached_prob <= 1.0:
+            raise ValueError(
+                "leaf_cached_prob must lie in [0, 1], got "
+                f"{self.leaf_cached_prob}"
+            )
 
 
-def _three_tier_levels(mid_order: int, large_order: int) -> tuple[PageLevel, ...]:
-    """The canonical x86-class ladder used by the legacy constructor."""
-    return (
-        PageLevel(name="base", label="4KB", order=0, promotable=False),
-        PageLevel(name="mid", label="2MB", order=mid_order, thp_target=True),
-        PageLevel(name="large", label="1GB", order=large_order),
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PageGeometry:
     """An ordered ladder of page sizes, smallest to largest.
 
-    Two construction styles:
-
-    * legacy three-tier: ``PageGeometry(base_shift, mid_order,
-      large_order)`` — the real x86-64 geometry is
-      ``PageGeometry(12, 9, 18)``: 4KB base, 2MB mid, 1GB large;
-    * declarative: ``PageGeometry(base_shift=12, levels=(...))`` with an
-      explicit :class:`PageLevel` tuple of any length >= 2.
-
+    ``levels`` is an explicit :class:`PageLevel` tuple of any length >= 2;
+    :func:`x86_ladder` builds the canonical 4KB / 2MB / 1GB family.
     ``base_shift`` is log2 of the base page size in bytes.  Each level's
     ``order`` is log2 of the number of base pages per page at that level;
     level 0 must have order 0 and orders must be strictly increasing.
-    Page sizes are identified everywhere by level index (0 .. n_levels-1).
+    ``l2_groups`` declares the named L2 TLB arrays the levels' sections
+    point at.  Page sizes are identified everywhere by level index
+    (0 .. n_levels-1).
     """
 
+    levels: tuple[PageLevel, ...]
     base_shift: int = 12
-    mid_order: int | None = 9
-    large_order: int | None = 18
-    levels: tuple[PageLevel, ...] | None = None
     l2_groups: tuple[tuple[str, TLBConfig], ...] = ()
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if self.base_shift <= 0:
             raise ValueError(f"base_shift must be positive, got {self.base_shift}")
-        if self.levels is None:
-            mid, large = self.mid_order, self.large_order
-            if mid is None or large is None:
-                raise ValueError(
-                    "need either an explicit levels tuple or both "
-                    "mid_order and large_order"
-                )
-            if not 0 < mid < large:
-                raise ValueError(
-                    "need 0 < mid_order < large_order, got "
-                    f"mid_order={mid} large_order={large}"
-                )
-            object.__setattr__(self, "levels", _three_tier_levels(mid, large))
         levels = tuple(self.levels)
         object.__setattr__(self, "levels", levels)
         if len(levels) < 2:
@@ -188,25 +168,24 @@ class PageGeometry:
             raise ValueError(
                 f"at most one level may be the THP target, got {thp_flags}"
             )
-        sections = [lvl.tlb for lvl in levels]
-        if any(s is not None for s in sections):
-            if any(s is None for s in sections):
+        groups = dict(self.l2_groups)
+        for lvl in levels:
+            if lvl.tlb.l2 not in groups:
                 raise ValueError(
-                    "either every level declares a TLB section or none does"
+                    f"level {lvl.name!r} references undeclared L2 group "
+                    f"{lvl.tlb.l2!r}"
                 )
-            groups = dict(self.l2_groups)
-            for lvl in levels:
-                if lvl.tlb.l2 is not None and lvl.tlb.l2 not in groups:
-                    raise ValueError(
-                        f"level {lvl.name!r} references undeclared L2 group "
-                        f"{lvl.tlb.l2!r}"
-                    )
-        # Normalise the derived legacy fields so equality keeps working
-        # across construction styles.
-        object.__setattr__(
-            self, "mid_order", levels[1].order if len(levels) > 2 else None
-        )
-        object.__setattr__(self, "large_order", levels[-1].order)
+
+    # -- buddy orders ----------------------------------------------------
+    @property
+    def mid_order(self) -> int | None:
+        """Order of level 1 on a ladder of three or more levels."""
+        return self.levels[1].order if len(self.levels) > 2 else None
+
+    @property
+    def large_order(self) -> int:
+        """Order of the top level: the buddy allocator's maximum order."""
+        return self.levels[-1].order
 
     # -- level indexing --------------------------------------------------
     @property
@@ -309,31 +288,84 @@ class PageGeometry:
     def is_aligned(self, addr: int, level: int) -> bool:
         return addr % self.bytes_for(level) == 0
 
-    def describe(self) -> str:
-        """One line per level, for ``repro geometry describe``."""
-        rows = []
-        for i, lvl in enumerate(self.levels):
-            flags = []
-            if lvl.promotable:
-                flags.append("promotable")
-            if i == self.thp_level and i != 0:
-                flags.append("thp-target")
-            rows.append(
-                f"  level {i}: {lvl.name:8s} {lvl.label:>6s}  "
-                f"order {lvl.order:2d}  {self.bytes_for(i):>12,} B"
-                f"{'  [' + ', '.join(flags) + ']' if flags else ''}"
-            )
-        return "\n".join(rows)
+
+#: Table 1 of the paper (Skylake, data side): L1 dTLB 64-entry 4-way for
+#: 4KB, 32-entry 4-way for 2MB, 4-entry fully associative for 1GB.
+SKYLAKE_L1 = (TLBConfig(64, 4), TLBConfig(32, 4), TLBConfig(4, 4))
+#: L2 sTLB: a 1536-entry 12-way array shared by 4KB and 2MB translations,
+#: and a 16-entry 4-way array for 1GB.
+SKYLAKE_L2 = (("shared", TLBConfig(1536, 12)), ("large", TLBConfig(16, 4)))
 
 
-#: Real x86-64 geometry: 4KB / 2MB / 1GB.
-X86_GEOMETRY = PageGeometry(base_shift=12, mid_order=9, large_order=18)
+def x86_ladder(
+    mid_order: int,
+    large_order: int,
+    base_shift: int = 12,
+    *,
+    l1: tuple[TLBConfig, TLBConfig, TLBConfig] = SKYLAKE_L1,
+    l2_groups: tuple[tuple[str, TLBConfig], ...] = SKYLAKE_L2,
+) -> PageGeometry:
+    """An x86-class three-level 4KB / 2MB / 1GB ladder.
+
+    The real x86-64 geometry is ``x86_ladder(9, 18)``.  ``l1`` gives the
+    three L1 shapes, smallest page first.  Base translations fill the
+    ``"shared"`` L2 group and 1GB translations the ``"large"`` one; 2MB
+    translations get their own ``"mid"`` group when ``l2_groups`` declares
+    one and share ``"shared"`` otherwise.  Walks skip 0 / 1 / 2 radix
+    levels, and the 2MB / 1GB leaves (PDEs / PDPTEs) sit in a
+    paging-structure cache with probability 0.60 / 0.85.
+    """
+    groups = dict(l2_groups)
+    mid_group = "mid" if "mid" in groups else "shared"
+    return PageGeometry(
+        base_shift=base_shift,
+        levels=(
+            PageLevel(
+                name="base", label="4KB", order=0, promotable=False,
+                tlb=TLBSection(l1[0], "shared"),
+                levels_skipped=0, leaf_cached_prob=0.0,
+            ),
+            PageLevel(
+                name="mid", label="2MB", order=mid_order, thp_target=True,
+                tlb=TLBSection(l1[1], mid_group),
+                levels_skipped=1, leaf_cached_prob=0.60,
+            ),
+            PageLevel(
+                name="large", label="1GB", order=large_order,
+                tlb=TLBSection(l1[2], "large"),
+                levels_skipped=2, leaf_cached_prob=0.85,
+            ),
+        ),
+        l2_groups=l2_groups,
+    )
+
+
+#: Real x86-64 geometry: 4KB / 2MB / 1GB with Skylake TLB shapes.
+X86_GEOMETRY = x86_ladder(9, 18)
 
 #: Scaled geometry for fast experiments: 4KB base, 64KB "2MB-class" mid,
 #: 4MB "1GB-class" large.  Ratios between levels shrink from 512x to 16/64x,
 #: which keeps buddy/TLB dynamics intact while making a "63.5GB" workload
 #: simulate as ~254MB of address space.
-SCALED_GEOMETRY = PageGeometry(base_shift=12, mid_order=4, large_order=10)
+#:
+#: Its TLB shapes preserve each page size's TLB-reach-to-footprint ratio
+#: from the Skylake testbed.  Footprints shrink by 256x (the large-page
+#: ratio); base pages do not shrink at all, so base structures shrink by 8x
+#: (a partial compensation: the full 256x would leave no structure at all,
+#: and base-heavy configurations sit far beyond reach under either choice);
+#: mid pages shrink 32x, so mid structures shrink by the residual 8x and
+#: get an L2 array of their own (real Skylake shares one); large-page
+#: counts are scale-invariant, so the 1GB structures keep their real sizes.
+SCALED_GEOMETRY = x86_ladder(
+    4,
+    10,
+    l1=(TLBConfig(16, 4), TLBConfig(4, 4), TLBConfig(4, 4)),
+    l2_groups=(
+        ("shared", TLBConfig(192, 12)),
+        ("large", TLBConfig(16, 4)),
+        ("mid", TLBConfig(192, 12)),
+    ),
+)
 
 #: Scale factor mapping paper footprints (bytes) onto SCALED_GEOMETRY bytes.
 #: large_size shrinks 1GB -> 4MB, i.e. by 256x; footprints shrink alike so a
@@ -345,216 +377,20 @@ SCALE_FACTOR = X86_GEOMETRY.large_size // SCALED_GEOMETRY.large_size
 FREQ_GHZ = 2.3
 
 
-# -- deprecated three-tier shim -----------------------------------------
-
-_ACTIVE_GEOMETRY: PageGeometry = SCALED_GEOMETRY
-
-
-def set_active_geometry(geometry: PageGeometry) -> None:
-    """Record the geometry the most recent System was built with.
-
-    Only the deprecated :class:`PageSize` shim reads this — migrated code
-    threads the geometry object explicitly.
-    """
-    global _ACTIVE_GEOMETRY
-    _ACTIVE_GEOMETRY = geometry
-
-
-def active_geometry() -> PageGeometry:
-    return _ACTIVE_GEOMETRY
-
-
-_PAGESIZE_MSG = (
-    "PageSize.{attr} is deprecated; page sizes are level indices of the "
-    "run's PageGeometry — use geometry.all_levels / geometry.top_level / "
-    "geometry.name_of / geometry.label_for instead (lint rule TRD003)"
-)
-
-
-class _PageSizeMeta(type):
-    """Metaclass turning ``PageSize.X`` class-attribute reads into
-    deprecation warnings resolved against the active geometry.
-
-    Mirrors the ``TouchResult`` raw-float shim: one warning per call
-    site (never per access), attributed to the consumer via stacklevel.
-    """
-
-    #: call sites (filename, lineno) that already warned
-    _warned_sites: set[tuple[str, int]] = set()
-
-    def _warn(cls, attr: str) -> None:
-        frame = sys._getframe(2)  # _warn <- property fget <- consumer
-        site = (frame.f_code.co_filename, frame.f_lineno)
-        if site in _PageSizeMeta._warned_sites:
-            return
-        _PageSizeMeta._warned_sites.add(site)
-        warnings.warn(
-            _PAGESIZE_MSG.format(attr=attr), DeprecationWarning, stacklevel=3
-        )
-
-    @property
-    def BASE(cls) -> int:
-        cls._warn("BASE")
-        return 0
-
-    @property
-    def MID(cls) -> int:
-        cls._warn("MID")
-        return 1
-
-    @property
-    def LARGE(cls) -> int:
-        cls._warn("LARGE")
-        return active_geometry().top_level
-
-    @property
-    def ALL(cls) -> tuple[int, ...]:
-        cls._warn("ALL")
-        return active_geometry().all_levels
-
-    @property
-    def NAMES(cls) -> dict[int, str]:
-        cls._warn("NAMES")
-        geo = active_geometry()
-        return {i: geo.name_of(i) for i in geo.all_levels}
-
-    @property
-    def X86_NAMES(cls) -> dict[int, str]:
-        cls._warn("X86_NAMES")
-        geo = active_geometry()
-        return {i: geo.label_for(i) for i in geo.all_levels}
-
-
-class PageSize(metaclass=_PageSizeMeta):
-    """Deprecated three-tier page-size aliases.
-
-    Page sizes are now plain level indices of the run's
-    :class:`PageGeometry`; ``BASE``/``MID``/``LARGE`` resolve to
-    0 / 1 / ``top_level`` of the *active* geometry so downstream scripts
-    keep working for one release.  Every attribute read emits one
-    :class:`DeprecationWarning` per call site (mirroring the
-    ``TouchResult`` shim).
-    """
-
-    @classmethod
-    def name_of(cls, size: int) -> str:
-        type(cls)._warn(cls, "name_of")
-        return active_geometry().name_of(size)
-
-    @classmethod
-    def reset_warned_sites(cls) -> None:
-        """Forget which call sites warned (test isolation hook)."""
-        _PageSizeMeta._warned_sites.clear()
-
-
-@dataclass(frozen=True)
-class TLBHierarchyConfig:
-    """Per-core TLB shapes.  Defaults follow Table 1 (Skylake, data side).
-
-    * L1 dTLB: 64-entry 4-way for 4KB; 32-entry 4-way for 2MB; 4-entry fully
-      associative for 1GB.
-    * L2 sTLB: 1536-entry 12-way shared by 4KB/2MB; 16-entry 4-way for 1GB.
-
-    ``l2_mid`` optionally splits mid translations out of the shared L2 into
-    their own structure.  Real Skylake shares the array; the *scaled*
-    experiment geometry shrinks mid pages by a different factor than large
-    pages, so preserving the paper's reach-to-footprint ratios requires an
-    independently-sized mid L2 (see SCALED_TLB below).
-
-    These three-tier fields only cover 3-level geometries; N-level
-    geometries embed a :class:`TLBSection` per :class:`PageLevel` instead,
-    and :meth:`resolved` prefers those when present.
-    """
-
-    l1_base: TLBConfig = TLBConfig(64, 4)
-    l1_mid: TLBConfig = TLBConfig(32, 4)
-    l1_large: TLBConfig = TLBConfig(4, 4)
-    l2_shared: TLBConfig = TLBConfig(1536, 12)
-    l2_large: TLBConfig = TLBConfig(16, 4)
-    l2_mid: TLBConfig | None = None
-
-    def resolved(
-        self, geometry: PageGeometry
-    ) -> tuple[tuple[TLBSection, ...], dict[str, TLBConfig]]:
-        """Per-level sections and L2 group configs for ``geometry``.
-
-        Geometry-embedded sections win; otherwise the legacy three-tier
-        fields are mapped onto a 3-level geometry exactly as before the
-        N-level redesign (so x86-family hierarchies build identically).
-        """
-        if all(lvl.tlb is not None for lvl in geometry.levels):
-            return (
-                tuple(lvl.tlb for lvl in geometry.levels),
-                dict(geometry.l2_groups),
-            )
-        if geometry.n_levels != 3:
-            raise ValueError(
-                f"geometry {geometry.name or geometry.labels} has "
-                f"{geometry.n_levels} levels but no per-level TLB sections; "
-                "the legacy TLBHierarchyConfig fields only describe 3-level "
-                "geometries"
-            )
-        groups: dict[str, TLBConfig] = {
-            "shared": self.l2_shared,
-            "large": self.l2_large,
-        }
-        mid_group = "shared"
-        if self.l2_mid is not None:
-            groups["mid"] = self.l2_mid
-            mid_group = "mid"
-        sections = (
-            TLBSection(self.l1_base, "shared"),
-            TLBSection(self.l1_mid, mid_group),
-            TLBSection(self.l1_large, "large"),
-        )
-        return sections, groups
-
-
-#: TLB preset for SCALED_GEOMETRY, preserving each page size's
-#: TLB-reach-to-footprint ratio from the Skylake testbed.  Footprints shrink
-#: by 256x (the large-page ratio); base pages do not shrink at all, so base
-#: structures shrink by 8x (a partial compensation: the full 256x would
-#: leave no structure at all, and base-heavy configurations sit far beyond
-#: reach under either choice); mid pages shrink 32x, so mid structures
-#: shrink by the residual 8x; large-page counts are scale-invariant, so the
-#: 1GB structures keep their real sizes.
-SCALED_TLB = TLBHierarchyConfig(
-    l1_base=TLBConfig(16, 4),
-    l1_mid=TLBConfig(4, 4),
-    l1_large=TLBConfig(4, 4),
-    l2_shared=TLBConfig(192, 12),
-    l2_large=TLBConfig(16, 4),
-    l2_mid=TLBConfig(192, 12),
-)
-
-
 @dataclass(frozen=True)
 class WalkConfig:
-    """Page-walk cost parameters.
+    """Machine-wide page-walk cost parameters.
 
     A native walk for a base page touches ``levels_base`` page-table levels
-    (4 on x86-64); mid pages skip the last level (3), large pages skip two
-    (2).  Two caching effects shape the cost:
+    (4 on x86-64); each geometry level declares how many of them its walks
+    skip (``PageLevel.levels_skipped``) and how likely its leaf entry is
+    structure-cached (``PageLevel.leaf_cached_prob``).
 
-    * ``pwc_hit_rate`` — probability that every level *above* the leaf is in
-      a paging-structure cache (PML4E/PDPTE/PDE caches), leaving only the
-      leaf access.
-    * ``leaf_cached_prob`` — for mid and large pages the *leaf itself* is a
-      PDE/PDPTE, which Intel's paging-structure caches also hold; a hit
-      makes the whole walk (nearly) free.  PTEs (base leaves) are never
-      cached.  This is the micro-architectural reason 1GB walks are much
-      cheaper than 2MB walks on real hardware, and the effect the paper's
-      Section 2 "quickens individual walks" point rests on.
-
-    ``mem_access_cycles`` is the average cost of one walk memory access —
-    page-table entries of big random working sets mostly miss the data
-    caches, so this is DRAM-class latency.
-
-    Per-level overrides for N-level geometries come from the
-    :class:`PageLevel` entries themselves (``levels_skipped``,
-    ``leaf_cached_prob``); :meth:`for_geometry` bakes them into the
-    per-level tuples below.  SVNAPOT 64KB pages, for instance, are NAPOT
-    PTEs: a full-depth walk whose leaf is never structure-cached.
+    ``pwc_hit_rate`` is the probability that every level *above* the leaf
+    is in a paging-structure cache (PML4E/PDPTE/PDE caches), leaving only
+    the leaf access.  ``mem_access_cycles`` is the average cost of one walk
+    memory access — page-table entries of big random working sets mostly
+    miss the data caches, so this is DRAM-class latency.
     """
 
     levels_base: int = 4
@@ -563,80 +399,26 @@ class WalkConfig:
     #: nested (2D) walks hit the paging-structure caches harder: most of the
     #: up-to-24 accesses are gPA-side upper-level entries with high reuse
     nested_pwc_hit_rate: float = 0.96
-    leaf_cached_prob_mid: float = 0.60
-    leaf_cached_prob_large: float = 0.85
     l2_tlb_hit_cycles: int = 7
-    #: radix levels skipped per geometry level; None = "level index"
-    #: (the x86 ladder: 4KB skips 0, 2MB skips 1, 1GB skips 2)
-    levels_skipped: tuple[int, ...] | None = None
-    #: leaf structure-cache hit probability per geometry level; None =
-    #: the legacy three-tier constants above
-    leaf_cached_probs: tuple[float, ...] | None = None
 
-    def for_geometry(self, geometry: PageGeometry) -> "WalkConfig":
-        """Bake any per-level overrides the geometry declares into tuples.
+    def __post_init__(self) -> None:
+        if self.levels_base <= 0:
+            raise ValueError(f"levels_base must be positive, got {self.levels_base}")
+        for key in ("pwc_hit_rate", "nested_pwc_hit_rate"):
+            value = getattr(self, key)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{key} must lie in [0, 1], got {value}")
 
-        Identity for geometries without per-level walk overrides — the
-        x86 family keeps the exact legacy behaviour.
-        """
-        if self.levels_skipped is not None or self.leaf_cached_probs is not None:
-            return self
-        has_skips = any(
-            lvl.levels_skipped is not None for lvl in geometry.levels
-        )
-        has_probs = any(
-            lvl.leaf_cached_prob is not None for lvl in geometry.levels
-        )
-        if not has_skips and not has_probs and geometry.n_levels == 3:
-            return self
-        skipped = tuple(
-            lvl.levels_skipped if lvl.levels_skipped is not None else i
-            for i, lvl in enumerate(geometry.levels)
-        )
-        probs = tuple(
-            lvl.leaf_cached_prob
-            if lvl.leaf_cached_prob is not None
-            else self._legacy_leaf_prob(i)
-            for i, lvl in enumerate(geometry.levels)
-        )
-        return replace(self, levels_skipped=skipped, leaf_cached_probs=probs)
 
-    def _legacy_leaf_prob(self, level: int) -> float:
-        if level == 0:
-            return 0.0
-        if level == 1:
-            return self.leaf_cached_prob_mid
-        return self.leaf_cached_prob_large
-
-    def leaf_cached_prob(self, level: int) -> float:
-        if self.leaf_cached_probs is not None:
-            return self.leaf_cached_probs[level]
-        return {
-            0: 0.0,
-            1: self.leaf_cached_prob_mid,
-            2: self.leaf_cached_prob_large,
-        }[level]
-
-    def levels_for(self, level: int) -> int:
-        """Page-table levels one walk for ``level`` traverses."""
-        if self.levels_skipped is not None:
-            return self.levels_base - self.levels_skipped[level]
-        return self.levels_base - level  # x86: top level skips 2
-
-    def native_walk_accesses(self, level: int) -> int:
-        """Memory accesses for one native page walk (4 / 3 / 2 on x86)."""
-        return self.levels_for(level)
-
-    def nested_walk_accesses(self, guest_level: int, host_level: int) -> int:
-        """Memory accesses for one nested (2D) walk.
-
-        With nG guest levels and nH host levels the 2D walk costs
-        ``(nG + 1) * (nH + 1) - 1`` accesses: 24 for 4K+4K, 15 for 2M+2M,
-        8 for 1G+1G — the numbers quoted in the paper's Section 2.
-        """
-        n_g = self.levels_for(guest_level)
-        n_h = self.levels_for(host_level)
-        return (n_g + 1) * (n_h + 1) - 1
+def check_walk_depths(geometry: PageGeometry, walk: WalkConfig) -> None:
+    """Every level's walk must touch at least one page-table level."""
+    for i, lvl in enumerate(geometry.levels):
+        if not 0 <= lvl.levels_skipped < walk.levels_base:
+            raise ValueError(
+                f"levels[{i}] ({lvl.name!r}): levels_skipped must lie in "
+                f"[0, {walk.levels_base}) for a {walk.levels_base}-level "
+                f"walk, got {lvl.levels_skipped}"
+            )
 
 
 @dataclass(frozen=True)
@@ -706,11 +488,10 @@ class CostModel:
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """A simulated machine: physical memory + TLB + walk + cost parameters."""
+    """A simulated machine: physical memory + geometry + walk + cost."""
 
     geometry: PageGeometry = SCALED_GEOMETRY
     total_frames: int = 1 << 16  # 256MB at 4KB frames under SCALED_GEOMETRY
-    tlb: TLBHierarchyConfig = field(default_factory=TLBHierarchyConfig)
     walk: WalkConfig = field(default_factory=WalkConfig)
     cost: CostModel = field(default_factory=CostModel)
     #: Fraction of physical memory reserved for unmovable kernel allocations
@@ -725,9 +506,7 @@ class MachineConfig:
                 "total_frames must be a whole number of large regions: "
                 f"{self.total_frames} % {self.geometry.frames_per_large} != 0"
             )
-        # Bake geometry-declared walk overrides in exactly once, so every
-        # consumer of machine.walk sees the per-level tuples.
-        object.__setattr__(self, "walk", self.walk.for_geometry(self.geometry))
+        check_walk_depths(self.geometry, self.walk)
 
     @property
     def total_bytes(self) -> int:
@@ -749,13 +528,11 @@ def default_machine(
 
     The paper's testbed has 384GB / 1GB = 384 regions per machine and 192 per
     socket; 64 scaled regions keeps single-figure runs fast while leaving
-    room for the same fragmentation dynamics.  Scaled geometries get the
-    reach-preserving SCALED_TLB; the real x86 geometry keeps Skylake shapes.
+    room for the same fragmentation dynamics.  TLB shapes come from the
+    geometry (reach-preserving on SCALED_GEOMETRY, Skylake on X86_GEOMETRY).
     """
-    tlb = TLBHierarchyConfig() if geometry == X86_GEOMETRY else SCALED_TLB
     return MachineConfig(
         geometry=geometry,
         total_frames=total_large_regions * geometry.frames_per_large,
-        tlb=tlb,
         cost=CostModel().scaled_for(geometry),
     )

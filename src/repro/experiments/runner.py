@@ -233,7 +233,7 @@ class RunConfig:
     geometry: PageGeometry = SCALED_GEOMETRY
     #: a geometry preset key ("x86", "sv-napot", "arm16k") or a path to a
     #: custom .json geometry; overrides ``geometry`` and brings the
-    #: preset's TLB/walk/cost parameters along (see repro.geometries)
+    #: preset's walk/cost parameters along (see repro.geometries)
     geometry_name: str | None = None
     #: machine size in large regions; None = the paper's testbed (192GB per
     #: socket = 192 1GB regions, scaled), floored at 1.15x the footprint

@@ -67,20 +67,29 @@ def run_tlb_capacity_sweep(
     n_accesses: int = 40_000,
     seed: int = 7,
 ) -> list[dict]:
-    """Sweep the 1GB L2 TLB size (16 on Skylake; 1024 on Ice Lake)."""
+    """Sweep the 1GB L2 TLB size (16 on Skylake; 1024 on Ice Lake).
+
+    Each point runs on a copy of SCALED_GEOMETRY whose ``"large"`` L2
+    group is resized; TLB shapes are part of the geometry, so the runner
+    builds its machine from that copy.
+    """
     rows = []
     base_metrics = NativeRunner(
         RunConfig(workload, "2MB-THP", n_accesses=n_accesses, seed=seed)
     ).run()
     for entries in l2_large_entries:
-        runner = NativeRunner(
-            RunConfig(workload, "Trident", n_accesses=n_accesses, seed=seed)
-        )
-        machine = runner.machine
-        new_tlb = replace(machine.tlb, l2_large=TLBConfig(entries, 4))
-        runner.system.machine = replace(machine, tlb=new_tlb)
-        runner.machine = runner.system.machine
-        metrics = runner.run()
+        groups = dict(SCALED_GEOMETRY.l2_groups)
+        groups["large"] = TLBConfig(entries, 4)
+        geometry = replace(SCALED_GEOMETRY, l2_groups=tuple(groups.items()))
+        metrics = NativeRunner(
+            RunConfig(
+                workload,
+                "Trident",
+                n_accesses=n_accesses,
+                seed=seed,
+                geometry=geometry,
+            )
+        ).run()
         rows.append(
             {
                 "l2_1gb_entries": entries,

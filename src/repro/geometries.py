@@ -28,7 +28,7 @@ Custom geometries load from JSON via :func:`load_geometry_json`; see
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.config import (
     CostModel,
@@ -36,14 +36,12 @@ from repro.config import (
     PageGeometry,
     PageLevel,
     SCALED_GEOMETRY,
-    SCALED_TLB,
     SCALE_FACTOR,
     TLBConfig,
-    TLBHierarchyConfig,
     TLBSection,
     WalkConfig,
     X86_GEOMETRY,
-    default_machine,
+    check_walk_depths,
 )
 
 
@@ -55,23 +53,15 @@ class GeometryPreset:
     title: str
     description: str
     geometry: PageGeometry
-    #: legacy three-tier TLB shapes; ignored when the geometry embeds
-    #: per-level sections
-    tlb: TLBHierarchyConfig = field(default_factory=lambda: SCALED_TLB)
     walk: WalkConfig = field(default_factory=WalkConfig)
     #: multiplier mapping scaled bytes back to paper-scale bytes
     scale_factor: int = 1
 
     def machine(self, total_large_regions: int = 64) -> MachineConfig:
         """A machine of ``total_large_regions`` top-level regions."""
-        if self.key == "x86":
-            # The canonical pipeline: must stay byte-identical to a run
-            # that never mentioned geometries at all.
-            return default_machine(total_large_regions)
         return MachineConfig(
             geometry=self.geometry,
             total_frames=total_large_regions * self.geometry.frames_per_large,
-            tlb=self.tlb,
             walk=self.walk,
             cost=CostModel().scaled_for(self.geometry),
         )
@@ -170,13 +160,7 @@ def _presets() -> dict[str, GeometryPreset]:
                 "geometry every experiment runs; selecting it is "
                 "bitwise-identical to the pre-geometry default."
             ),
-            geometry=PageGeometry(
-                base_shift=SCALED_GEOMETRY.base_shift,
-                mid_order=SCALED_GEOMETRY.mid_order,
-                large_order=SCALED_GEOMETRY.large_order,
-                name="x86",
-            ),
-            tlb=SCALED_TLB,
+            geometry=replace(SCALED_GEOMETRY, name="x86"),
             scale_factor=SCALE_FACTOR,
         ),
         "sv-napot": GeometryPreset(
@@ -226,6 +210,34 @@ def _tlb_config(obj: dict, where: str) -> TLBConfig:
         return TLBConfig(int(obj["entries"]), int(obj["ways"]))
     except KeyError as e:
         raise ValueError(f"{where}: TLB config needs 'entries' and 'ways'") from e
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{where}: {e}") from e
+
+
+def _level_from_dict(raw: dict, i: int) -> PageLevel:
+    """One JSON level; errors name ``levels[i]``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"levels[{i}] must be an object")
+    for key in ("name", "order", "l1"):
+        if key not in raw:
+            raise ValueError(f"levels[{i}] is missing {key!r}")
+    l2 = raw.get("l2", "shared")
+    if not isinstance(l2, str):
+        raise ValueError(f"levels[{i}].l2 must name an L2 group, got {l2!r}")
+    section = TLBSection(_tlb_config(raw["l1"], f"levels[{i}].l1"), l2)
+    try:
+        return PageLevel(
+            name=str(raw["name"]),
+            label=str(raw.get("label", raw["name"])),
+            order=int(raw["order"]),
+            promotable=bool(raw.get("promotable", i > 0)),
+            thp_target=bool(raw.get("thp_target", False)),
+            tlb=section,
+            levels_skipped=int(raw.get("levels_skipped", 0)),
+            leaf_cached_prob=float(raw.get("leaf_cached_prob", 0.0)),
+        )
+    except ValueError as e:
+        raise ValueError(f"levels[{i}]: {e}") from e
 
 
 def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
@@ -233,7 +245,8 @@ def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
 
     Raises :class:`ValueError` with a actionable message on any schema
     violation; :class:`PageGeometry`'s own validation (monotone orders,
-    unique names, section/group consistency) runs on top.
+    unique names, section/group consistency) runs on top, and every
+    level's walk must fit the declared ``walk.levels_base``.
     """
     if not isinstance(spec, dict):
         raise ValueError("geometry spec must be a JSON object")
@@ -247,44 +260,11 @@ def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
         (str(gname), _tlb_config(gcfg, f"l2_groups[{gname}]"))
         for gname, gcfg in (spec.get("l2_groups") or {}).items()
     )
-    levels = []
-    for i, raw in enumerate(raw_levels):
-        if not isinstance(raw, dict):
-            raise ValueError(f"levels[{i}] must be an object")
-        for key in ("name", "order"):
-            if key not in raw:
-                raise ValueError(f"levels[{i}] is missing {key!r}")
-        section = None
-        if "l1" in raw:
-            section = TLBSection(
-                _tlb_config(raw["l1"], f"levels[{i}].l1"),
-                raw.get("l2", "shared"),
-            )
-        levels.append(
-            PageLevel(
-                name=str(raw["name"]),
-                label=str(raw.get("label", raw["name"])),
-                order=int(raw["order"]),
-                promotable=bool(raw.get("promotable", i > 0)),
-                thp_target=bool(raw.get("thp_target", False)),
-                tlb=section,
-                levels_skipped=(
-                    int(raw["levels_skipped"])
-                    if "levels_skipped" in raw
-                    else None
-                ),
-                leaf_cached_prob=(
-                    float(raw["leaf_cached_prob"])
-                    if "leaf_cached_prob" in raw
-                    else None
-                ),
-            )
-        )
     geometry = PageGeometry(
         base_shift=int(spec["base_shift"]),
-        mid_order=None,
-        large_order=None,
-        levels=tuple(levels),
+        levels=tuple(
+            _level_from_dict(raw, i) for i, raw in enumerate(raw_levels)
+        ),
         l2_groups=groups,
         name=str(spec.get("name", name)),
     )
@@ -294,6 +274,7 @@ def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
         mem_access_cycles=int(walk_spec.get("mem_access_cycles", 160)),
         pwc_hit_rate=float(walk_spec.get("pwc_hit_rate", 0.80)),
     )
+    check_walk_depths(geometry, walk)
     scale = X86_GEOMETRY.large_size // geometry.large_size
     return GeometryPreset(
         key=geometry.name or name or "custom",

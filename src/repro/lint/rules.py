@@ -320,18 +320,17 @@ class FrameArithmetic(Rule):
 
     Since the N-level :class:`~repro.config.PageGeometry` redesign, the
     rule additionally polices the three-tier assumption itself, across the
-    whole ``repro`` package (``config.py`` excepted, where the shim lives):
-    reads of the deprecated ``PageSize.BASE/MID/LARGE`` aliases, and magic
-    x86 order literals (``1 << 9``-style shifts), both of which silently
-    pin code to a geometry shape that SVNAPOT and ARM granule configs do
-    not have.  Pre-existing findings ratchet via ``lint-baseline.json``.
+    whole ``repro`` package: magic x86 order literals (``1 << 9``-style
+    shifts) silently pin code to a geometry shape that SVNAPOT and ARM
+    granule configs do not have.  Pre-existing findings ratchet via
+    ``lint-baseline.json``.
     """
 
     code = "TRD003"
     name = "frame-arithmetic"
     description = (
         "no float creep into frame/order arithmetic; no magic geometry "
-        "numbers or deprecated three-tier PageSize aliases"
+        "numbers"
     )
     rationale = (
         "Frame counts, PFNs and orders are exact integers; one true "
@@ -339,13 +338,12 @@ class FrameArithmetic(Rule):
         "accounting bug started exactly this way). Geometry numbers "
         "(512 frames per 2MB, order 9/18, the 256x scale) must come "
         "from the active geometry so scaled, full, and N-level "
-        "geometries interchange. PageSize.BASE/MID/LARGE reads go "
-        "through a deprecation shim that hardcodes the three-tier "
-        "shape; 4-level SVNAPOT configs break such call sites."
+        "geometries interchange; a literal 1 << 9 hardcodes the x86 "
+        "three-tier shape that 4-level SVNAPOT configs do not have."
     )
     example_bad = (
         "mid_frames = frames / 512        # float, magic number\n"
-        "mapped = by_size[PageSize.MID]   # deprecated three-tier alias\n"
+        "mapped = by_size[1]              # magic page-size index\n"
     )
     example_good = (
         "mid_frames = frames // geometry.frames_for(geometry.thp_level)\n"
@@ -363,13 +361,6 @@ class FrameArithmetic(Rule):
         262144: "geometry.frames_per_large",
     }
     SCALE = 256  # config.SCALE_FACTOR
-    #: deprecated three-tier aliases served by the config.PageSize shim;
-    #: each read warns at runtime — lint catches them statically
-    DEPRECATED_PAGESIZE = frozenset(
-        {"BASE", "MID", "LARGE", "ALL", "NAMES", "X86_NAMES"}
-    )
-    #: the shim's home (and the only place allowed to spell it)
-    SHIM_HOME = "repro/config.py"
 
     def check(self, ctx: LintContext) -> list[Finding]:
         findings: list[Finding] = []
@@ -377,44 +368,21 @@ class FrameArithmetic(Rule):
             for module in ctx.under(scope):
                 findings.extend(self._check_module(module))
         for module in ctx.under("repro/"):
-            if module.package_path == self.SHIM_HOME:
-                continue
-            findings.extend(self._check_three_tier(module))
+            if not any(module.package_path.startswith(s) for s in self.SCOPES):
+                findings.extend(self._check_three_tier(module))
         return findings
 
     def _check_three_tier(self, module: SourceModule) -> Iterator[Finding]:
-        """Package-wide three-tier hygiene (outside mem/ + experiments/).
+        """Magic order shifts outside mem/ + experiments/.
 
-        PageSize alias reads are flagged everywhere; magic order shifts
-        are flagged here only for modules the frame-arithmetic scope does
-        not already cover, so each site reports once.
+        Modules inside the frame-arithmetic scope already get the shift
+        check from :meth:`_check_module`, so each site reports once.
         """
-        in_scope = any(module.package_path.startswith(s) for s in self.SCOPES)
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Attribute):
-                yield from self._check_pagesize_alias(module, node)
-            elif (
-                not in_scope
-                and isinstance(node, ast.BinOp)
-                and isinstance(node.op, (ast.LShift, ast.RShift))
+            if isinstance(node, ast.BinOp) and isinstance(
+                node.op, (ast.LShift, ast.RShift)
             ):
                 yield from self._check_shift(module, node)
-
-    def _check_pagesize_alias(
-        self, module: SourceModule, node: ast.Attribute
-    ) -> Iterator[Finding]:
-        if node.attr not in self.DEPRECATED_PAGESIZE:
-            return
-        parts = _dotted(node).split(".")
-        if len(parts) >= 2 and parts[-2] == "PageSize":
-            yield self.finding(
-                module,
-                node.lineno,
-                f"deprecated PageSize.{node.attr} resolves through the "
-                "three-tier runtime shim; use the active geometry's level "
-                "indices instead (0, geometry.thp_level, "
-                "geometry.top_level, geometry.all_levels)",
-            )
 
     def _check_module(self, module: SourceModule) -> Iterator[Finding]:
         container_lines = self._container_literal_ids(module.tree)
@@ -496,7 +464,7 @@ class FrameArithmetic(Rule):
                     f"order; use {hint}",
                 )
         # page-size table lookups: `...by_size[2]` / `...by_size.get(2)`
-        # hard-code the PageSize encoding
+        # hard-code the level-index encoding
         if (
             isinstance(node.func, ast.Attribute)
             and node.func.attr == "get"

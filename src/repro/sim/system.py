@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import FREQ_GHZ, MachineConfig, set_active_geometry
+from repro.config import FREQ_GHZ, MachineConfig
 from repro.core.compaction import NormalCompactor, SmartCompactor
 from repro.core.rmap import ReverseMap
 from repro.mem.buddy import BuddyAllocator
@@ -47,8 +47,6 @@ class System:
     ) -> None:
         self.machine = machine
         self.geometry = machine.geometry
-        # Deprecated PageSize aliases resolve against the live machine.
-        set_active_geometry(self.geometry)
         self.cost = machine.cost
         #: the machine's only RNG: a seeded generator threaded from the run
         #: config so every stochastic kernel behaviour replays byte-for-byte
@@ -266,9 +264,7 @@ class System:
 
     # -- processes --------------------------------------------------------------
     def create_process(self, name: str = "app", home_node: int = 0) -> Process:
-        tlb = TLBHierarchy(
-            self.machine.tlb, self.machine.walk, self.geometry, obs=self.obs
-        )
+        tlb = TLBHierarchy(self.machine.walk, self.geometry, obs=self.obs)
         process = Process(self._next_pid, name, self.geometry, tlb)
         self._next_pid += 1
         if self._numa_active:
@@ -474,7 +470,7 @@ class System:
             return
         mem_ns = self.machine.walk.mem_access_cycles / FREQ_GHZ
         clock = self.obs.clock
-        levels = self.machine.walk.levels_for
+        levels = process.tlb.walker.levels_for
         if not self.pt_replication and process.pt_node != process.home_node:
             walk_accesses = sum(
                 levels(s) * w for s, w in br.walks_by_size.items()

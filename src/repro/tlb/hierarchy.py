@@ -13,8 +13,8 @@ Structure (Skylake defaults, x86 three-tier geometry):
 
 Other geometries declare more levels (SVNAPOT's 64KB NAPOT pages) or
 different groupings (ARM's contiguous-bit entries share the granule
-array); the hierarchy builds whatever ladder
-:meth:`TLBHierarchyConfig.resolved` hands it, one SetAssocTLB per level.
+array); :class:`TranslationUnit` builds whatever ladder the geometry's
+per-level sections declare, one SetAssocTLB per level.
 
 The simulator is trace-driven: the caller translates each virtual address
 through the page table first (so the mapping's page size is known — hardware
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import FREQ_GHZ, PageGeometry, TLBHierarchyConfig, WalkConfig
+from repro.config import FREQ_GHZ, PageGeometry, WalkConfig
 from repro.tlb.tlb import SetAssocTLB
 from repro.tlb.walker import PageWalker
 from repro.vm.pagetable import Mapping
@@ -60,7 +60,72 @@ class TranslationStats:
         return self.walks / self.accesses if self.accesses else 0.0
 
 
-class TLBHierarchy:
+class TranslationUnit:
+    """The TLB structures, walker and counters one geometry declares.
+
+    Shared by the native :class:`TLBHierarchy` and the nested
+    :class:`~repro.tlb.nested.NestedTranslationUnit`, which differ only
+    in how an access resolves its page size and walks.
+    """
+
+    def __init__(self, walk: WalkConfig, geometry: PageGeometry) -> None:
+        self.geometry = geometry
+        self.walk_config = walk
+        self.n_levels = geometry.n_levels
+        self.l1 = {
+            level: SetAssocTLB(lvl.tlb.l1)
+            for level, lvl in enumerate(geometry.levels)
+        }
+        #: named L2 group -> structure, in declaration order
+        self.l2 = {
+            name: SetAssocTLB(cfg) for name, cfg in geometry.l2_groups
+        }
+        self._l2_by_level = [self.l2[lvl.tlb.l2] for lvl in geometry.levels]
+        self.walker = PageWalker(walk, geometry)
+        self.stats = TranslationStats.for_geometry(geometry)
+        self._shifts = {
+            level: geometry.shift_for(level) for level in geometry.all_levels
+        }
+
+    def _l2_for(self, page_size: int) -> SetAssocTLB:
+        return self._l2_by_level[page_size]
+
+    def invalidate_range(self, start: int, length: int) -> None:
+        """Shootdown for a remapped range (promotion/compaction).
+
+        Drops every entry whose page lies inside [start, start+length) from
+        all levels.  Ranges are page-size aligned in all call sites.
+        """
+        for size in range(self.n_levels):
+            shift = self._shifts[size]
+            first = start >> shift
+            last = (start + length - 1) >> shift
+            structures = (self.l1[size], self._l2_by_level[size])
+            # Small ranges: invalidate per page; huge ranges: flush.
+            if last - first + 1 > 4096:
+                for s in structures:
+                    s.flush()
+            else:
+                for vpn in range(first, last + 1):
+                    for s in structures:
+                        s.invalidate(vpn)
+
+    def flush(self) -> None:
+        for tlb in self.l1.values():
+            tlb.flush()
+        for tlb in self.l2.values():
+            tlb.flush()
+
+    def reset_stats(self) -> None:
+        self.stats = TranslationStats.for_geometry(self.geometry)
+        self.walker.reset_stats()
+        for tlb in self.l1.values():
+            tlb.reset_stats()
+        for tlb in self.l2.values():
+            tlb.reset_stats()
+
+
+class TLBHierarchy(TranslationUnit):
     """L1 (per-level) + grouped L2 TLBs over one page table."""
 
     #: walk-latency histogram bucket upper bounds, in cycles
@@ -68,14 +133,11 @@ class TLBHierarchy:
 
     def __init__(
         self,
-        config: TLBHierarchyConfig,
         walk: WalkConfig,
         geometry: PageGeometry,
         obs=None,
     ) -> None:
-        self.geometry = geometry
-        self.walk_config = walk
-        self.n_levels = geometry.n_levels
+        super().__init__(walk, geometry)
         self._labels = geometry.labels
         self._tracer = None
         self._clock = None
@@ -91,29 +153,6 @@ class TLBHierarchy:
                 )
                 for s in geometry.all_levels
             }
-        sections, groups = config.resolved(geometry)
-        self.l1 = {
-            level: SetAssocTLB(sections[level].l1)
-            for level in geometry.all_levels
-        }
-        #: named L2 group -> structure, in declaration order
-        self.l2 = {name: SetAssocTLB(cfg) for name, cfg in groups.items()}
-        self._l2_by_level = [
-            self.l2[sections[level].l2] for level in geometry.all_levels
-        ]
-        # Legacy attribute aliases; state fingerprints and the x86-era
-        # tooling address the groups by these names.
-        self.l2_shared = self.l2.get("shared")
-        self.l2_large = self.l2.get("large")
-        self.l2_mid = self.l2.get("mid")
-        self.walker = PageWalker(walk)
-        self.stats = TranslationStats.for_geometry(geometry)
-        self._shifts = {
-            level: geometry.shift_for(level) for level in geometry.all_levels
-        }
-
-    def _l2_for(self, page_size: int) -> SetAssocTLB:
-        return self._l2_by_level[page_size]
 
     def access(self, va: int, mapping: Mapping) -> float:
         """One load/store to ``va``; returns translation cycles beyond L1 hit.
@@ -158,37 +197,3 @@ class TLBHierarchy:
         l2.insert(vpn)
         self.l1[size].insert(vpn)
         return cycles
-
-    def invalidate_range(self, start: int, length: int) -> None:
-        """Shootdown for a remapped range (promotion/compaction).
-
-        Drops every entry whose page lies inside [start, start+length) from
-        all levels.  Ranges are page-size aligned in all call sites.
-        """
-        for size in range(self.n_levels):
-            shift = self._shifts[size]
-            first = start >> shift
-            last = (start + length - 1) >> shift
-            structures = (self.l1[size], self._l2_by_level[size])
-            # Small ranges: invalidate per page; huge ranges: flush.
-            if last - first + 1 > 4096:
-                for s in structures:
-                    s.flush()
-            else:
-                for vpn in range(first, last + 1):
-                    for s in structures:
-                        s.invalidate(vpn)
-
-    def flush(self) -> None:
-        for tlb in self.l1.values():
-            tlb.flush()
-        for tlb in self.l2.values():
-            tlb.flush()
-
-    def reset_stats(self) -> None:
-        self.stats = TranslationStats.for_geometry(self.geometry)
-        self.walker.reset_stats()
-        for tlb in self.l1.values():
-            tlb.reset_stats()
-        for tlb in self.l2.values():
-            tlb.reset_stats()

@@ -11,51 +11,26 @@ costs up to (nG+1)*(nH+1)-1 memory accesses: 24 / 15 / 8 for 4K+4K / 2M+2M /
 
 from __future__ import annotations
 
-from repro.config import PageGeometry, TLBHierarchyConfig, WalkConfig
-from repro.tlb.hierarchy import TranslationStats
-from repro.tlb.tlb import SetAssocTLB
-from repro.tlb.walker import PageWalker
+from repro.config import PageGeometry, WalkConfig
+from repro.tlb.hierarchy import TranslationUnit
 from repro.vm.pagetable import Mapping, PageTable
 
 
-class NestedTranslationUnit:
+class NestedTranslationUnit(TranslationUnit):
     """TLB hierarchy caching combined gVA->hPA translations."""
 
     def __init__(
         self,
-        config: TLBHierarchyConfig,
         walk: WalkConfig,
         geometry: PageGeometry,
         host_table: PageTable,
         hva_base: int = 0,
     ) -> None:
-        self.geometry = geometry
-        self.walk_config = walk
+        super().__init__(walk, geometry)
         self.host_table = host_table
-        self.n_levels = geometry.n_levels
         #: host virtual address where the guest-physical range is mapped
         #: (the VM process's RAM allocation in the host)
         self.hva_base = hva_base
-        sections, groups = config.resolved(geometry)
-        self.l1 = {
-            level: SetAssocTLB(sections[level].l1)
-            for level in geometry.all_levels
-        }
-        self.l2 = {name: SetAssocTLB(cfg) for name, cfg in groups.items()}
-        self._l2_by_level = [
-            self.l2[sections[level].l2] for level in geometry.all_levels
-        ]
-        self.l2_shared = self.l2.get("shared")
-        self.l2_large = self.l2.get("large")
-        self.l2_mid = self.l2.get("mid")
-        self.walker = PageWalker(walk)
-        self.stats = TranslationStats.for_geometry(geometry)
-        self._shifts = {
-            level: geometry.shift_for(level) for level in geometry.all_levels
-        }
-
-    def _l2_for(self, size: int) -> SetAssocTLB:
-        return self._l2_by_level[size]
 
     def gpa_of(self, guest_mapping: Mapping, va: int) -> int:
         """Guest-physical address ``va`` resolves to."""
@@ -105,24 +80,3 @@ class NestedTranslationUnit:
         l2.insert(vpn)
         self.l1[size].insert(vpn)
         return cycles
-
-    def invalidate_range(self, start: int, length: int) -> None:
-        """Shootdown of guest-virtual range after remapping at either level."""
-        for size in range(self.n_levels):
-            shift = self._shifts[size]
-            first = start >> shift
-            last = (start + length - 1) >> shift
-            structures = (self.l1[size], self._l2_by_level[size])
-            if last - first + 1 > 4096:
-                for s in structures:
-                    s.flush()
-            else:
-                for vpn in range(first, last + 1):
-                    for s in structures:
-                        s.invalidate(vpn)
-
-    def flush(self) -> None:
-        for tlb in self.l1.values():
-            tlb.flush()
-        for tlb in self.l2.values():
-            tlb.flush()

@@ -10,18 +10,34 @@ cached, so the expected accesses per walk are::
 
 Nested (virtualized) walks use the 2D access counts 24 / 15 / 8 with the
 same discount applied to the non-final accesses.
+
+Walk depth and leaf caching are per-level properties of the geometry
+(:class:`~repro.config.PageLevel`); the machine-wide constants come from
+:class:`~repro.config.WalkConfig`.
 """
 
 from __future__ import annotations
 
-from repro.config import WalkConfig
+from repro.config import PageGeometry, WalkConfig
 
 
 class PageWalker:
     """Deterministic expected-latency walker with accumulated statistics."""
 
-    def __init__(self, config: WalkConfig) -> None:
+    def __init__(self, config: WalkConfig, geometry: PageGeometry) -> None:
         self.config = config
+        #: page-table levels one native walk for each geometry level touches
+        self._depth = tuple(
+            config.levels_base - lvl.levels_skipped for lvl in geometry.levels
+        )
+        self._leaf_cached = tuple(
+            lvl.leaf_cached_prob for lvl in geometry.levels
+        )
+        # A native walk's cost is a pure function of its level.
+        self._native_cycles = tuple(
+            self.expected_accesses(depth, leaf) * config.mem_access_cycles
+            for depth, leaf in zip(self._depth, self._leaf_cached)
+        )
         self.walks = 0
         self.walk_cycles = 0.0
 
@@ -43,23 +59,32 @@ class PageWalker:
         full = 1.0 + (accesses - 1) * miss
         return (1.0 - leaf_cached) * full
 
+    def levels_for(self, level: int) -> int:
+        """Page-table levels one native walk for ``level`` traverses."""
+        return self._depth[level]
+
+    def nested_walk_accesses(self, guest_level: int, host_level: int) -> int:
+        """Memory accesses for one nested (2D) walk.
+
+        With nG guest levels and nH host levels the 2D walk costs
+        ``(nG + 1) * (nH + 1) - 1`` accesses: 24 for 4K+4K, 15 for 2M+2M,
+        8 for 1G+1G — the numbers quoted in the paper's Section 2.
+        """
+        n_g = self._depth[guest_level]
+        n_h = self._depth[host_level]
+        return (n_g + 1) * (n_h + 1) - 1
+
     def native_walk_cycles(self, page_size: int) -> float:
         """Cycles one native walk to a ``page_size`` leaf costs (pure).
 
-        Shared by the scalar path and the batch engine so both compute the
-        identical float; the model is deterministic per page size.
+        Shared by the scalar path and the batch engine so both use the
+        identical float.
         """
-        accesses = self.config.native_walk_accesses(page_size)
-        return (
-            self.expected_accesses(
-                accesses, self.config.leaf_cached_prob(page_size)
-            )
-            * self.config.mem_access_cycles
-        )
+        return self._native_cycles[page_size]
 
     def native_walk(self, page_size: int) -> float:
         """Cycles for one native walk to a leaf of ``page_size``."""
-        cycles = self.native_walk_cycles(page_size)
+        cycles = self._native_cycles[page_size]
         self.walks += 1
         self.walk_cycles += cycles
         return cycles
@@ -70,14 +95,13 @@ class PageWalker:
         The leaf-cache shortcut applies when *both* dimensions' leaves are
         cached (the nested walk needs the guest leaf and its EPT leaf).
         """
-        accesses = self.config.nested_walk_accesses(guest_size, host_size)
+        accesses = self.nested_walk_accesses(guest_size, host_size)
         # The gVA-side and EPT-side leaf entries are cached independently;
         # the nested walker short-circuits once the rarer of the two hits
         # (splintered walks reuse the cached dimension), so the effective
         # shortcut probability is the smaller of the two, not their product.
         leaf_cached = min(
-            self.config.leaf_cached_prob(guest_size),
-            self.config.leaf_cached_prob(host_size),
+            self._leaf_cached[guest_size], self._leaf_cached[host_size]
         )
         cycles = (
             self.expected_accesses(

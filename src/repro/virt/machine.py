@@ -46,7 +46,6 @@ class GuestSystem(System):
 
     def create_process(self, name: str = "app") -> Process:
         tlb = NestedTranslationUnit(
-            self.machine.tlb,
             self.machine.walk,
             self.geometry,
             host_table=self.hypervisor.host_table,

@@ -2,13 +2,13 @@
 
 import random
 
-from repro.config import CostModel, PageGeometry
+from repro.config import CostModel, x86_ladder
 from repro.core.compaction import NormalCompactor, SmartCompactor
 from repro.core.rmap import ReverseMap
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.regions import RegionTracker
 
-GEOM = PageGeometry(base_shift=12, mid_order=2, large_order=6)
+GEOM = x86_ladder(2, 6)
 
 
 class RecordingOwner:

@@ -9,13 +9,13 @@ import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.config import CostModel, PageGeometry
+from repro.config import CostModel, x86_ladder
 from repro.core.compaction import NormalCompactor, SmartCompactor
 from repro.core.rmap import ReverseMap
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.regions import RegionTracker
 
-GEOM = PageGeometry(base_shift=12, mid_order=2, large_order=4)
+GEOM = x86_ladder(2, 4)
 N_REGIONS = 4
 TOTAL = N_REGIONS * GEOM.frames_per_large
 

@@ -142,24 +142,17 @@ class TestTRD003FrameArithmetic:
             tmp_path, "repro/tlb/m.py", "half = free_frames / 2\n"
         ) == []
 
-    def test_flags_deprecated_pagesize_alias_anywhere(self, tmp_path):
-        src = "mapped = by_size[PageSize.MID]\n"
-        assert _rules(tmp_path, "repro/tlb/m.py", src) == ["TRD003"]
-
-    def test_flags_dotted_pagesize_alias(self, tmp_path):
-        src = "import repro.config as config\nx = config.PageSize.LARGE\n"
-        assert _rules(tmp_path, "repro/core/m.py", src) == ["TRD003"]
-
-    def test_pagesize_shim_home_exempt(self, tmp_path):
-        src = "x = PageSize.ALL\n"
-        assert _rules(tmp_path, "repro/config.py", src) == []
-
     def test_non_pagesize_attribute_not_flagged(self, tmp_path):
         src = "names = geometry.NAMES if hasattr(geometry, 'NAMES') else ()\n"
         assert _rules(tmp_path, "repro/tlb/m.py", src) == []
 
     def test_flags_magic_order_shift_outside_mem_scope(self, tmp_path):
         assert _rules(tmp_path, "repro/vm/m.py", "big = 1 << 18\n") == [
+            "TRD003"
+        ]
+
+    def test_flags_magic_order_shift_in_config(self, tmp_path):
+        assert _rules(tmp_path, "repro/config.py", "big = 1 << 18\n") == [
             "TRD003"
         ]
 

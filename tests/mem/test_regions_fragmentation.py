@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.config import CostModel, PageGeometry
+from repro.config import CostModel, x86_ladder
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.fragmentation import FragmentationInjector, fmfi
 from repro.mem.regions import RegionTracker
@@ -13,7 +13,7 @@ from repro.mem.zerofill import ZeroFillEngine
 
 BASE, MID, LARGE = 0, 1, 2  # three-tier level indices (x86-shaped test geometry)
 
-GEOM = PageGeometry(base_shift=12, mid_order=2, large_order=4)  # large = 16 frames
+GEOM = x86_ladder(2, 4)  # large = 16 frames
 
 
 def make_tracked(n_regions=4):
@@ -196,7 +196,7 @@ class TestZeroFillEngine:
 
     def test_fault_latency_async_much_faster_than_sync(self):
         # The paper's headline: 400 ms sync vs 2.7 ms with async zero-fill.
-        x86 = PageGeometry(12, 9, 18)
+        x86 = x86_ladder(9, 18)
         buddy = BuddyAllocator(1 << 18, 18)
         engine = ZeroFillEngine(buddy, x86, CostModel())
         sync_ns = engine.fault_ns(LARGE, used_pool=False)

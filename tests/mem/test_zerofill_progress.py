@@ -1,12 +1,12 @@
 """Zero-fill budget carry-over and fault-credit behaviour."""
 
-from repro.config import CostModel, PageGeometry
+from repro.config import CostModel, x86_ladder
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.zerofill import ZeroFillEngine
 
 BASE, MID, LARGE = 0, 1, 2  # three-tier level indices (x86-shaped test geometry)
 
-GEOM = PageGeometry(base_shift=12, mid_order=2, large_order=4)
+GEOM = x86_ladder(2, 4)
 
 
 def make(n_regions=4, pool=2):

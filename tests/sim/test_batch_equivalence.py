@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro.sim.batch as batch_module
-from repro.config import active_geometry, default_machine, set_active_geometry
+from repro.config import default_machine
 from repro.core import Baseline4KPolicy, HawkEyePolicy, THPPolicy, TridentPolicy
 from repro.geometries import GEOMETRY_PRESETS
 from repro.mem.numa import NumaTopology
@@ -184,7 +184,6 @@ def test_bare_batch_result_carries_no_levels():
     assert BatchResult().walks_by_size == {}
 
 
-@pytest.mark.usefixtures("restore_geometry")
 def test_batch_result_covers_every_geometry_level():
     preset = GEOMETRY_PRESETS["sv-napot"]
     system = System(preset.machine(16), TridentPolicy, seed=5)
@@ -279,13 +278,6 @@ SCENARIOS = {
 }
 
 
-@pytest.fixture
-def restore_geometry():
-    saved = active_geometry()
-    yield
-    set_active_geometry(saved)
-
-
 def _chunks(n: int, seed: int) -> list[tuple[int, int]]:
     rng = np.random.default_rng(seed)
     bounds, i = [], 0
@@ -336,7 +328,6 @@ def _summed(results: list[BatchResult]) -> BatchResult:
 STEP_POLICIES = [THPPolicy, TridentPolicy]
 
 
-@pytest.mark.usefixtures("restore_geometry")
 @pytest.mark.parametrize("policy", STEP_POLICIES)
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_random_chunks_match_scalar_loop(scenario, policy):
@@ -353,7 +344,6 @@ def test_random_chunks_match_scalar_loop(scenario, policy):
     assert fp["faults"] > 0  # the cold stream really did fault
 
 
-@pytest.mark.usefixtures("restore_geometry")
 @pytest.mark.parametrize("policy", STEP_POLICIES)
 @pytest.mark.parametrize(
     "scenario", sorted(s for s in SCENARIOS if s != "numa-2node")

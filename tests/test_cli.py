@@ -46,6 +46,61 @@ class TestCLI:
             main([])
 
 
+def _describe_columns(out: str) -> dict[str, list[str]]:
+    """``repro geometry describe`` rows: level name -> [L1, L2, WALK, PWC]."""
+    lines = out.splitlines()
+    header = next(i for i, line in enumerate(lines) if "WALK" in line)
+    rows = {}
+    for line in lines[header + 1:]:
+        if line.strip().startswith("L2 groups"):
+            break
+        cols = line.split()
+        rows[cols[1]] = cols[-4:]
+    return rows
+
+
+class TestGeometryCLI:
+    # Captured from the pre-redesign output (TLB shapes then lived in a
+    # separate three-tier TLB config): the per-level TLB sections and walk
+    # values must read the same off the geometry.
+    def test_describe_x86(self, capsys):
+        assert main(["geometry", "describe", "x86"]) == 0
+        out = capsys.readouterr().out
+        assert _describe_columns(out) == {
+            "base": ["16x4", "shared", "4", "0.00"],
+            "mid": ["4x4", "mid", "3", "0.60"],
+            "large": ["4x4", "large", "2", "0.85"],
+        }
+        assert "L2 groups: shared=192x12, large=16x4, mid=192x12" in out
+
+    def test_describe_sv_napot(self, capsys):
+        assert main(["geometry", "describe", "sv-napot"]) == 0
+        out = capsys.readouterr().out
+        assert _describe_columns(out) == {
+            "base": ["16x4", "shared", "4", "0.00"],
+            "napot": ["8x4", "shared", "4", "0.00"],
+            "mega": ["4x4", "mid", "3", "0.60"],
+            "giga": ["4x4", "large", "2", "0.85"],
+        }
+        assert "L2 groups: shared=192x12, mid=192x12, large=16x4" in out
+
+    def test_validate_rejects_out_of_range_walk_fields(self, capsys, tmp_path):
+        spec = {
+            "base_shift": 12,
+            "levels": [
+                {"name": "base", "order": 0, "l1": {"entries": 16, "ways": 4}},
+                {"name": "big", "order": 4, "l1": {"entries": 4, "ways": 4},
+                 "leaf_cached_prob": 1.5, "levels_skipped": 7},
+            ],
+            "l2_groups": {"shared": {"entries": 64, "ways": 8}},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert main(["geometry", "validate", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "levels[1]" in out and "leaf_cached_prob" in out
+
+
 class TestSweepCLI:
     def test_sweep_writes_manifest_and_csvs(self, capsys, tmp_path):
         out = str(tmp_path / "sweep")

@@ -10,10 +10,12 @@ from repro.config import (
     X86_GEOMETRY,
     CostModel,
     MachineConfig,
-    PageGeometry,
+    TLBConfig,
     WalkConfig,
     default_machine,
+    x86_ladder,
 )
+from repro.tlb.walker import PageWalker
 
 BASE, MID, LARGE = 0, 1, 2  # three-tier level indices (x86-shaped test geometry)
 
@@ -30,11 +32,11 @@ class TestPageGeometry:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PageGeometry(12, 9, 9)  # mid == large
+            x86_ladder(9, 9)  # mid == large
         with pytest.raises(ValueError):
-            PageGeometry(12, 0, 5)
+            x86_ladder(0, 5)
         with pytest.raises(ValueError):
-            PageGeometry(0, 4, 8)
+            x86_ladder(4, 8, base_shift=0)
 
     @given(
         st.integers(10, 14),
@@ -44,7 +46,7 @@ class TestPageGeometry:
     def test_alignment_laws(self, base_shift, mid_order, large_order):
         if mid_order >= large_order:
             return
-        g = PageGeometry(base_shift, mid_order, large_order)
+        g = x86_ladder(mid_order, large_order, base_shift)
         for size in (BASE, MID, LARGE):
             nbytes = g.bytes_for(size)
             for addr in (0, nbytes - 1, nbytes, 3 * nbytes + 17):
@@ -65,16 +67,20 @@ class TestPageGeometry:
 
 class TestWalkConfig:
     def test_five_level_counts(self):
-        w = WalkConfig(levels_base=5)
-        assert w.native_walk_accesses(BASE) == 5
+        w = PageWalker(WalkConfig(levels_base=5), SCALED_GEOMETRY)
+        assert w.levels_for(BASE) == 5
         assert w.nested_walk_accesses(BASE, BASE) == 35
 
     def test_leaf_cached_prob_per_size(self):
-        w = WalkConfig()
-        assert w.leaf_cached_prob(BASE) == 0.0
-        assert w.leaf_cached_prob(MID) < w.leaf_cached_prob(
-            LARGE
-        )
+        levels = SCALED_GEOMETRY.levels
+        assert levels[BASE].leaf_cached_prob == 0.0
+        assert levels[MID].leaf_cached_prob < levels[LARGE].leaf_cached_prob
+
+    def test_rejects_out_of_range_values(self):
+        with pytest.raises(ValueError, match="levels_base"):
+            WalkConfig(levels_base=0)
+        with pytest.raises(ValueError, match="pwc_hit_rate"):
+            WalkConfig(pwc_hit_rate=1.5)
 
 
 class TestMachineConfig:
@@ -92,7 +98,7 @@ class TestMachineConfig:
 
     def test_default_machine_uses_scaled_tlb_and_cost(self):
         m = default_machine(8)
-        assert m.tlb.l2_mid is not None  # the scaled preset
+        assert "mid" in dict(m.geometry.l2_groups)  # the scaled shapes
         # Scaled cost model: zeroing a scaled large page costs real-1GB time.
         assert m.cost.zero_ns(m.geometry.large_size) == pytest.approx(
             CostModel().zero_ns(X86_GEOMETRY.large_size)
@@ -100,8 +106,16 @@ class TestMachineConfig:
 
     def test_x86_machine_keeps_real_shapes(self):
         m = default_machine(4, X86_GEOMETRY)
-        assert m.tlb.l2_mid is None
+        assert dict(m.geometry.l2_groups) == {
+            "shared": TLBConfig(1536, 12),
+            "large": TLBConfig(16, 4),
+        }
+        assert m.geometry.levels[0].tlb.l1 == TLBConfig(64, 4)
         assert m.cost.zero_bandwidth_bytes_per_ns == pytest.approx(2.6)
+
+    def test_rejects_walk_deeper_than_the_table(self):
+        with pytest.raises(ValueError, match=r"levels\[2\].*levels_skipped"):
+            MachineConfig(walk=WalkConfig(levels_base=2))
 
     def test_scaled_copy(self):
         m = default_machine(8)

@@ -1,15 +1,12 @@
-"""Geometry presets, random N-level geometries, and the PageSize shim.
+"""Geometry presets, random N-level geometries, and the JSON loader.
 
 The N-level :class:`~repro.config.PageGeometry` redesign claims that no
 derived quantity depends on there being exactly three tiers.  These tests
 pin that down three ways: the built-in presets boot and run end-to-end,
 randomly generated valid geometries satisfy the arithmetic invariants the
-rest of the simulator leans on, and the deprecated ``PageSize`` aliases
-resolve against the active geometry while warning once per call site
-(mirroring the ``TouchResult`` shim, lint rule TRD003).
+rest of the simulator leans on, and custom JSON geometries are validated
+at the boundary, before any machine is built.
 """
-
-import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -17,14 +14,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro.config import (
-    SCALED_GEOMETRY,
     PageGeometry,
     PageLevel,
-    PageSize,
     TLBConfig,
     TLBSection,
     default_machine,
-    set_active_geometry,
 )
 from repro.geometries import (
     GEOMETRY_PRESETS,
@@ -32,6 +26,7 @@ from repro.geometries import (
     resolve_geometry,
 )
 from repro.mem.buddy import BuddyAllocator
+from repro.tlb.walker import PageWalker
 
 
 @st.composite
@@ -130,19 +125,19 @@ class TestPresets:
         assert g.n_levels == 4
         assert g.labels == ("4KB", "64KB", "2MB", "1GB")
         # NAPOT pages are PTEs: full-depth walks, never structure-cached.
-        walk = GEOMETRY_PRESETS["sv-napot"].walk.for_geometry(g)
-        assert walk.levels_for(1) == walk.levels_for(0)
-        assert walk.leaf_cached_prob(1) == 0.0
+        walker = PageWalker(GEOMETRY_PRESETS["sv-napot"].walk, g)
+        assert walker.levels_for(1) == walker.levels_for(0)
+        assert g.levels[1].leaf_cached_prob == 0.0
         # True superpage levels do shorten the walk.
-        assert walk.levels_for(2) < walk.levels_for(0)
+        assert walker.levels_for(2) < walker.levels_for(0)
 
     def test_arm16k_granule_shift(self):
         g = GEOMETRY_PRESETS["arm16k"].geometry
         assert g.base_shift == 14
-        walk = GEOMETRY_PRESETS["arm16k"].walk.for_geometry(g)
+        walker = PageWalker(GEOMETRY_PRESETS["arm16k"].walk, g)
         # Contiguous-bit entries never shorten a walk; blocks do.
-        assert walk.levels_for(1) == walk.levels_for(0)
-        assert walk.levels_for(2) < walk.levels_for(0)
+        assert walker.levels_for(1) == walker.levels_for(0)
+        assert walker.levels_for(2) < walker.levels_for(0)
 
     @pytest.mark.parametrize("key", sorted(GEOMETRY_PRESETS))
     def test_preset_runs_end_to_end(self, key):
@@ -214,6 +209,35 @@ class TestGeometryFromDict:
             (lambda s: s.pop("base_shift"), "missing 'base_shift'"),
             (lambda s: s.update(levels=[s["levels"][0]]), "at least two"),
             (lambda s: s["levels"][1].pop("order"), "missing 'order'"),
+            (
+                lambda s: s["levels"][1].pop("l1"),
+                r"levels\[1\] is missing 'l1'",
+            ),
+            (
+                lambda s: s["levels"][1].update(leaf_cached_prob=1.5),
+                r"levels\[1\]: leaf_cached_prob must lie in \[0, 1\]",
+            ),
+            (
+                lambda s: s["levels"][1].update(leaf_cached_prob=-0.1),
+                r"levels\[1\]: leaf_cached_prob must lie in \[0, 1\]",
+            ),
+            (
+                lambda s: s["levels"][1].update(levels_skipped=7),
+                r"levels\[1\] \('big'\): levels_skipped must lie in \[0, 4\)",
+            ),
+            (
+                lambda s: s["levels"][1].update(levels_skipped=-1),
+                r"levels\[1\]: levels_skipped must be >= 0",
+            ),
+            (
+                lambda s: s.update(walk={"levels_base": 1})
+                or s["levels"][1].update(levels_skipped=1),
+                r"levels\[1\] \('big'\): levels_skipped must lie in \[0, 1\)",
+            ),
+            (
+                lambda s: s["levels"][0].update(l1={"entries": 6, "ways": 4}),
+                r"levels\[0\]\.l1: entries \(6\) must be a multiple",
+            ),
         ],
     )
     def test_schema_violations_raise(self, mutate, match):
@@ -223,60 +247,3 @@ class TestGeometryFromDict:
         mutate(spec)
         with pytest.raises(ValueError, match=match):
             geometry_from_dict(spec)
-
-
-class TestPageSizeDeprecationShim:
-    """PageSize aliases warn once per call site and track the live geometry."""
-
-    def setup_method(self):
-        PageSize.reset_warned_sites()
-        set_active_geometry(SCALED_GEOMETRY)
-
-    def teardown_method(self):
-        PageSize.reset_warned_sites()
-        set_active_geometry(SCALED_GEOMETRY)
-
-    def test_warns_once_per_call_site_not_per_read(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(100):
-                assert PageSize.MID == 1  # one call site, read 100 times
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert "PageSize.MID is deprecated" in str(caught[0].message)
-        assert "TRD003" in str(caught[0].message)
-
-    def test_distinct_call_sites_each_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _ = PageSize.BASE  # site 1
-            _ = PageSize.LARGE  # site 2
-        assert len(caught) == 2
-
-    def test_warning_attributed_to_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _ = PageSize.ALL
-        assert caught[0].filename == __file__
-
-    def test_aliases_resolve_against_active_geometry(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert (PageSize.BASE, PageSize.MID, PageSize.LARGE) == (0, 1, 2)
-            assert PageSize.ALL == (0, 1, 2)
-            assert PageSize.X86_NAMES == {0: "4KB", 1: "2MB", 2: "1GB"}
-            set_active_geometry(GEOMETRY_PRESETS["sv-napot"].geometry)
-            assert PageSize.LARGE == 3
-            assert PageSize.ALL == (0, 1, 2, 3)
-            assert PageSize.NAMES[1] == "napot"
-
-    def test_system_boot_sets_active_geometry(self):
-        from repro.core.baseline4k import Baseline4KPolicy
-        from repro.sim.system import System
-
-        preset = GEOMETRY_PRESETS["arm16k"]
-        System(preset.machine(4), Baseline4KPolicy, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert PageSize.ALL == (0, 1, 2)
-            assert PageSize.X86_NAMES[0] == "16KB"

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.config import (
-    SCALED_GEOMETRY,
-    TLBConfig,
-    TLBHierarchyConfig,
-    WalkConfig,
-)
+from repro.config import SCALED_GEOMETRY, TLBConfig, WalkConfig, x86_ladder
 from repro.tlb.hierarchy import TLBHierarchy
 from repro.tlb.nested import NestedTranslationUnit
 from repro.vm.pagetable import PageTable
@@ -17,17 +12,18 @@ BASE, MID, LARGE = G.base_size, G.mid_size, G.large_size
 LVL_BASE, LVL_MID, LVL_LARGE = 0, 1, 2  # geometry level indices
 VA0 = 0x7000_0000_0000
 
-TINY_TLB = TLBHierarchyConfig(
-    l1_base=TLBConfig(4, 2),
-    l1_mid=TLBConfig(4, 2),
-    l1_large=TLBConfig(2, 2),
-    l2_shared=TLBConfig(16, 4),
-    l2_large=TLBConfig(4, 2),
+#: G's orders with Skylake TLB shapes, and with tiny ones
+SKYLAKE_TLB = x86_ladder(G.mid_order, G.large_order)
+TINY_TLB = x86_ladder(
+    G.mid_order,
+    G.large_order,
+    l1=(TLBConfig(4, 2), TLBConfig(4, 2), TLBConfig(2, 2)),
+    l2_groups=(("shared", TLBConfig(16, 4)), ("large", TLBConfig(4, 2))),
 )
 
 
-def make_hierarchy(config=None):
-    return TLBHierarchy(config or TLBHierarchyConfig(), WalkConfig(), G)
+def make_hierarchy(geometry=None):
+    return TLBHierarchy(WalkConfig(), geometry or SKYLAKE_TLB)
 
 
 class TestTLBHierarchy:
@@ -126,7 +122,7 @@ class TestNestedTranslation:
         gpa_len = G.bytes_for(guest_size)
         for gpa in range(0, gpa_len, G.bytes_for(host_size)):
             host_table.map_page(gpa, host_size, pfn=gpa // G.base_size + 1000)
-        unit = NestedTranslationUnit(TINY_TLB, WalkConfig(), G, host_table)
+        unit = NestedTranslationUnit(WalkConfig(), TINY_TLB, host_table)
         return unit, gm
 
     def test_nested_walk_cost_ordering(self):
@@ -153,7 +149,7 @@ class TestNestedTranslation:
         guest_table = PageTable(G)
         host_table = PageTable(G)
         gm = guest_table.map_page(VA0, LVL_BASE, pfn=0)
-        unit = NestedTranslationUnit(TINY_TLB, WalkConfig(), G, host_table)
+        unit = NestedTranslationUnit(WalkConfig(), TINY_TLB, host_table)
         with pytest.raises(LookupError):
             unit.access(VA0, gm)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import TLBConfig, WalkConfig
+from repro.config import SCALED_GEOMETRY, TLBConfig, WalkConfig
 from repro.tlb.tlb import SetAssocTLB
 from repro.tlb.walker import PageWalker
 
@@ -81,49 +81,53 @@ class TestSetAssocTLB:
             TLBConfig(0, 1)
 
 
+def walker(config: WalkConfig | None = None) -> PageWalker:
+    return PageWalker(config or WalkConfig(), SCALED_GEOMETRY)
+
+
 class TestWalkConfig:
     def test_native_walk_accesses(self):
-        w = WalkConfig()
-        assert w.native_walk_accesses(BASE) == 4
-        assert w.native_walk_accesses(MID) == 3
-        assert w.native_walk_accesses(LARGE) == 2
+        w = walker()
+        assert w.levels_for(BASE) == 4
+        assert w.levels_for(MID) == 3
+        assert w.levels_for(LARGE) == 2
 
     def test_nested_walk_accesses_match_paper(self):
         # Section 2: 24 accesses for 4K+4K, 15 for 2M+2M, 8 for 1G+1G.
-        w = WalkConfig()
+        w = walker()
         assert w.nested_walk_accesses(BASE, BASE) == 24
         assert w.nested_walk_accesses(MID, MID) == 15
         assert w.nested_walk_accesses(LARGE, LARGE) == 8
 
     def test_nested_mixed_sizes(self):
-        w = WalkConfig()
+        w = walker()
         # 1GB guest over 4KB host: (2+1)*(4+1)-1 = 14.
         assert w.nested_walk_accesses(LARGE, BASE) == 14
 
 
 class TestPageWalker:
     def test_larger_pages_walk_faster(self):
-        w = PageWalker(WalkConfig())
+        w = walker()
         c_base = w.native_walk(BASE)
         c_mid = w.native_walk(MID)
         c_large = w.native_walk(LARGE)
         assert c_base > c_mid > c_large
 
     def test_nested_costs_more_than_native(self):
-        w = PageWalker(WalkConfig())
+        w = walker()
         assert w.nested_walk(BASE, BASE) > w.native_walk(
             BASE
         )
 
     def test_pwc_discount(self):
-        hot = PageWalker(WalkConfig(pwc_hit_rate=1.0))
-        cold = PageWalker(WalkConfig(pwc_hit_rate=0.0))
+        hot = walker(WalkConfig(pwc_hit_rate=1.0))
+        cold = walker(WalkConfig(pwc_hit_rate=0.0))
         # Perfect PWC: only the leaf access remains.
         assert hot.native_walk(BASE) == WalkConfig().mem_access_cycles
         assert cold.native_walk(BASE) == 4 * WalkConfig().mem_access_cycles
 
     def test_stats_accumulate(self):
-        w = PageWalker(WalkConfig())
+        w = walker()
         w.native_walk(BASE)
         w.native_walk(MID)
         assert w.walks == 2
