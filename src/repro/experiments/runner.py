@@ -46,11 +46,10 @@ METRICS_DIR: str | None = None
 def metrics_dir() -> str | None:
     """The active metrics drop directory.
 
-    Module global first (set in-process by the CLI or by an orchestrator
-    worker after fork), then the ``REPRO_METRICS_DIR`` environment
-    variable — the handoff that survives spawn-style worker startup.
+    Set in-process by the CLI, or inside each orchestrator worker by
+    :func:`repro.experiments.orchestrator._redirect_into`.
     """
-    return METRICS_DIR or os.environ.get("REPRO_METRICS_DIR") or None
+    return METRICS_DIR or None
 
 
 def set_metrics_dir(path: str | None) -> None:
@@ -68,11 +67,9 @@ AUDIT: bool = False
 def audit_enabled() -> bool:
     """Whether runs should attach invariant auditors.
 
-    Module global first (set in-process by the CLI or an orchestrator
-    worker), then the ``REPRO_AUDIT`` environment variable — the same
-    handoff pattern as :func:`metrics_dir`.
+    Set the same way as :func:`metrics_dir`.
     """
-    return AUDIT or os.environ.get("REPRO_AUDIT") == "1"
+    return AUDIT
 
 
 def set_audit(on: bool) -> None:
@@ -89,11 +86,9 @@ TIMELINE: bool = False
 def timeline_enabled() -> bool:
     """Whether runs should record the simulated-time timeline.
 
-    Module global first (set in-process by the CLI or an orchestrator
-    worker), then the ``REPRO_TIMELINE`` environment variable — the same
-    handoff pattern as :func:`metrics_dir`.
+    Set the same way as :func:`metrics_dir`.
     """
-    return TIMELINE or os.environ.get("REPRO_TIMELINE") == "1"
+    return TIMELINE
 
 
 def set_timeline(on: bool) -> None:

@@ -8,8 +8,11 @@ Linux:
 * **buddy free lists** (:func:`check_buddy`) — free blocks aligned,
   in-bounds and non-overlapping; every mergeable buddy pair actually
   merged (eager coalescing); frame states consistent with both free lists
-  and live allocations; full coverage of physical memory; and the O(1)
-  free-frame gauge equal to the sum over the free lists.
+  and live allocations; full coverage of physical memory; the O(1)
+  free-frame gauge equal to the sum over the free lists; and, per node,
+  max-order aligned node bounds, every free block queued once on its own
+  node's heap and per-node free-frame counters equal to a ground-truth
+  count.
 * **region counters** (:func:`check_regions`) — the per-large-region
   free/unmovable counters smart compaction selects by match a ground-truth
   scan of the frame-state array.
@@ -17,10 +20,8 @@ Linux:
   Trident-pv exchange hypercalls, no host frame backs two guest-physical
   ranges, no mapping points at free host frames, and the host rmap owner
   records still invert every mapping.
-* **NUMA pools** (:func:`check_numa_pools`, :func:`check_node_residency`,
-  :func:`check_replica_accounting`) — on multi-node machines, each
-  node's buddy pool passes the full flat-allocator check over its slice
-  of physical memory, per-node totals sum to the facade's, page-table
+* **NUMA accounting** (:func:`check_node_residency`,
+  :func:`check_replica_accounting`) — on multi-node machines, page-table
   residency counters match a ground-truth mapping scan, and replica
   maintenance accounting matches the fault count.
 
@@ -49,7 +50,6 @@ from repro.mem.frames import FrameState
 
 if TYPE_CHECKING:
     from repro.mem.buddy import BuddyAllocator
-    from repro.mem.numa import NumaBuddyPools
     from repro.mem.regions import RegionTracker
     from repro.sim.system import System
     from repro.virt.hypervisor import Hypervisor
@@ -67,62 +67,149 @@ def _fail(message: str) -> None:
 def check_buddy(buddy: BuddyAllocator) -> int:
     """Audit the buddy allocator's free lists; O(total_frames).
 
-    Returns the number of elementary checks performed; raises
+    The whole machine is checked first, then the per-node counters that
+    placement reads.  On a multi-node allocator every node's range is
+    then checked the same way over the blocks queued on that node's heap,
+    against the node's own free-frame counter: a block queued on another
+    node's heap is out of that node's bounds, an allocation straddling
+    two nodes breaks both ranges' coverage.
+
+    Returns the number of elementary checks performed (on one node the
+    node counters mirror the machine's and add none); raises
     :class:`InvariantViolation` on the first violation.
     """
+    orders = range(buddy.max_order + 1)
+    allocations = list(buddy.iter_allocations())
+    checks = _check_range(
+        buddy,
+        0,
+        buddy.total_frames,
+        [set(buddy.free_block_starts(o)) for o in orders],
+        allocations,
+        buddy.free_frames,
+        "",
+    )
+    heaps = [
+        [set(buddy.node_free_block_starts(o, node)) for o in orders]
+        for node in range(buddy.nodes)
+    ]
+    _check_node_accounting(buddy, heaps)
+    if buddy.nodes == 1:
+        return checks
+    # Counted: per node, its range alignment and heap accounting from
+    # _check_node_accounting plus the range check; machine-wide, the
+    # queued-block and free-frame totals.
+    for node, starts in enumerate(heaps):
+        lo, hi = buddy.node_bounds(node)
+        checks += 2 + _check_range(
+            buddy,
+            lo,
+            hi,
+            starts,
+            [a for a in allocations if lo <= a[0] < hi],
+            buddy.node_free_frames(node),
+            f"node {node}: ",
+        )
+    return checks + 2
+
+
+def _check_node_accounting(
+    buddy: BuddyAllocator, heaps: list[list[set[int]]]
+) -> None:
+    """Node ranges are max-order aligned, the node heaps queue every free
+    block once, and the per-node free-frame counters add up."""
+    top = 1 << buddy.max_order
+    for node in range(buddy.nodes):
+        lo, hi = buddy.node_bounds(node)
+        if lo % top or hi % top:
+            _fail(f"node {node} range [{lo}, {hi}) is not max-order aligned")
+    for order in range(buddy.max_order + 1):
+        queued = sum(len(starts[order]) for starts in heaps)
+        if queued != buddy.free_blocks(order):
+            _fail(
+                f"node heaps queue {queued} free blocks at order {order}, "
+                f"the free list holds {buddy.free_blocks(order)}"
+            )
+    node_free = sum(map(buddy.node_free_frames, range(buddy.nodes)))
+    if node_free != buddy.free_frames:
+        _fail(
+            f"per-node free-frame counters sum to {node_free}, the "
+            f"free-frame gauge says {buddy.free_frames}"
+        )
+
+
+def _check_range(
+    buddy: BuddyAllocator,
+    lo: int,
+    hi: int,
+    free_starts: list[set[int]],
+    allocations: list[tuple[int, int, bool]],
+    free_frames: int,
+    where: str,
+) -> int:
+    """The flat-allocator check over frames ``[lo, hi)``.
+
+    ``free_starts[order]`` are the free blocks the range claims,
+    ``allocations`` the live ``(start, order, movable)`` blocks starting
+    in it and ``free_frames`` the O(1) counter that must equal their sum.
+    """
     checks = 0
-    seen = np.zeros(buddy.total_frames, dtype=bool)
+    seen = np.zeros(hi - lo, dtype=bool)
     state = buddy.frame_state
     free_total = 0
-    for order in range(buddy.max_order + 1):
+    for order, starts in enumerate(free_starts):
         n = 1 << order
-        starts = set(buddy.free_block_starts(order))
         for start in sorted(starts):
             checks += 1
             end = start + n
             if start % n:
-                _fail(f"free block {start} misaligned for order {order}")
-            if end > buddy.total_frames:
-                _fail(f"free block [{start}, {end}) out of bounds")
-            if seen[start:end].any():
-                _fail(f"free block [{start}, {end}) overlaps another chunk")
-            seen[start:end] = True
+                _fail(f"{where}free block {start} misaligned for order {order}")
+            if start < lo or end > hi:
+                _fail(f"{where}free block [{start}, {end}) out of bounds")
+            if seen[start - lo : end - lo].any():
+                _fail(f"{where}free block [{start}, {end}) overlaps another chunk")
+            seen[start - lo : end - lo] = True
             if (state[start:end] != FrameState.FREE).any():
                 _fail(
-                    f"free-list block [{start}, {end}) contains frames not "
-                    "marked FREE"
+                    f"{where}free-list block [{start}, {end}) contains "
+                    "frames not marked FREE"
                 )
             free_total += n
             if order < buddy.max_order:
                 checks += 1
                 if (start ^ n) in starts:
                     _fail(
-                        f"mergeable buddies {min(start, start ^ n)} and "
+                        f"{where}mergeable buddies {min(start, start ^ n)} and "
                         f"{max(start, start ^ n)} both free at order {order} "
                         "were not coalesced"
                     )
-    for start, order, movable in buddy.iter_allocations():
+    for start, order, movable in allocations:
         checks += 1
         n = 1 << order
         end = start + n
         if start % n:
-            _fail(f"allocation {start} misaligned for order {order}")
-        if seen[start:end].any():
-            _fail(f"allocation [{start}, {end}) overlaps a free chunk")
-        seen[start:end] = True
+            _fail(f"{where}allocation {start} misaligned for order {order}")
+        if end > hi:
+            _fail(f"{where}allocation [{start}, {end}) out of bounds")
+        if seen[start - lo : end - lo].any():
+            _fail(f"{where}allocation [{start}, {end}) overlaps a free chunk")
+        seen[start - lo : end - lo] = True
         want = FrameState.MOVABLE if movable else FrameState.UNMOVABLE
         if (state[start:end] != want).any():
             _fail(
-                f"allocated block [{start}, {end}) has frame states "
+                f"{where}allocated block [{start}, {end}) has frame states "
                 f"inconsistent with movable={movable}"
             )
     checks += 2
     if not seen.all():
-        orphan = int(np.flatnonzero(~seen)[0])
-        _fail(f"frame {orphan} is in neither a free list nor an allocation")
-    if free_total != buddy.free_frames:
+        orphan = lo + int(np.flatnonzero(~seen)[0])
         _fail(
-            f"free-frame gauge {buddy.free_frames} != sum of free lists "
+            f"{where}frame {orphan} is in neither a free list nor an "
+            "allocation"
+        )
+    if free_total != free_frames:
+        _fail(
+            f"{where}free-frame gauge {free_frames} != sum of free lists "
             f"{free_total}"
         )
     return checks
@@ -147,51 +234,6 @@ def check_regions(regions: RegionTracker, frame_state: np.ndarray) -> int:
                 f"!= ground truth {int(truth[region])}"
             )
     return 2 * regions.n_regions
-
-
-def check_numa_pools(pools: NumaBuddyPools) -> int:
-    """Audit the per-node pools behind a :class:`NumaBuddyPools` facade.
-
-    Each node's allocator is checked in full (same invariant set as the
-    flat machine, over its local pfn space and its slice of the shared
-    frame-state array), then the cross-node accounting: node bounds
-    partition physical memory exactly, and the facade's totals equal the
-    sum over nodes — the drift the ``--audit`` layer must reject when a
-    frame's bookkeeping migrates without its block.
-    """
-    checks = 0
-    per = pools.frames_per_node
-    free_total = 0
-    frames_total = 0
-    for node, pool in enumerate(pools.pools):
-        lo, hi = pools.node_bounds(node)
-        checks += 1
-        if pool.pfn_base != lo or pool.total_frames != hi - lo:
-            _fail(
-                f"node {node} pool covers [{pool.pfn_base}, "
-                f"{pool.pfn_base + pool.total_frames}), expected [{lo}, {hi})"
-            )
-        checks += 1
-        if pool.total_frames != per:
-            _fail(
-                f"node {node} holds {pool.total_frames} frames, expected "
-                f"{per} (capacity must split evenly)"
-            )
-        checks += check_buddy(pool)
-        free_total += pool.free_frames
-        frames_total += pool.total_frames
-    checks += 2
-    if frames_total != pools.total_frames:
-        _fail(
-            f"per-node capacities sum to {frames_total}, facade says "
-            f"{pools.total_frames}"
-        )
-    if free_total != pools.free_frames:
-        _fail(
-            f"per-node free frames sum to {free_total}, facade says "
-            f"{pools.free_frames}"
-        )
-    return checks
 
 
 def check_node_residency(
@@ -299,9 +341,8 @@ def audit_system(system: System, hypervisor: Hypervisor | None = None) -> int:
     """Run the full check suite over one system; returns checks performed."""
     checks = check_buddy(system.buddy)
     checks += check_regions(system.regions, system.buddy.frame_state)
-    if getattr(system.buddy, "pools", None) is not None:
-        # NUMA machine: per-node pools, residency accounting, replicas.
-        checks += check_numa_pools(system.buddy)
+    if system.numa.nodes > 1:
+        # NUMA machine: residency accounting and page-table replicas.
         for process in system.processes:
             checks += check_node_residency(
                 process.pagetable, system.buddy.node_of, system.buddy.nodes

@@ -9,7 +9,7 @@ smart compaction.
 
 from repro.mem.buddy import BuddyAllocator, OutOfMemoryError
 from repro.mem.frames import FrameState
-from repro.mem.numa import NumaBuddyPools, NumaTopology
+from repro.mem.numa import NumaTopology
 from repro.mem.regions import RegionTracker
 from repro.mem.fragmentation import FragmentationInjector, fmfi
 from repro.mem.zerofill import ZeroFillEngine
@@ -18,7 +18,6 @@ __all__ = [
     "BuddyAllocator",
     "OutOfMemoryError",
     "FrameState",
-    "NumaBuddyPools",
     "NumaTopology",
     "RegionTracker",
     "FragmentationInjector",

@@ -166,7 +166,7 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str], ...] = (
     # system-level (collector-mirrored)
     ("system_fmfi", "gauge", "", "free-memory fragmentation index at large order"),
     ("system_daemon_ns_total", "counter", "", "daemon ns across all ticks"),
-    # NUMA layer (repro.mem.numa + System penalties; multi-node runs only)
+    # NUMA layer (repro.mem.buddy placement + System penalties; multi-node runs only)
     ("numa_alloc_local_total", "counter", "", "allocations placed on the preferred node"),
     ("numa_alloc_remote_total", "counter", "", "allocations spilled to a remote node"),
     ("numa_remote_walk_penalty_ns_total", "counter", "", "extra ns for remote page walks"),

@@ -163,12 +163,10 @@ def run_service_cell(
         MIN_TENANT_REGIONS,
         int(wl.footprint_bytes * 1.15) // geometry_large + 1,
     )
-    numa = None
-    if numa_nodes > 1:
-        numa = NumaTopology(
-            nodes=numa_nodes, remote_multiplier=numa_remote_multiplier
-        )
-        regions += (-regions) % numa_nodes  # whole regions per node
+    numa = NumaTopology(
+        nodes=numa_nodes, remote_multiplier=numa_remote_multiplier
+    )
+    regions += (-regions) % numa.nodes  # whole regions per node
     obs = Observability(timeline=timeline)
     system = System(
         default_machine(regions),
@@ -326,7 +324,7 @@ def run_service_cell(
 
     busy_ns = prev_completion - epoch_ns
     numa_section = None
-    if numa is not None:
+    if numa.nodes > 1:
         snap = metrics.snapshot()
         numa_section = {
             "nodes": numa.nodes,
@@ -458,6 +456,10 @@ def run_fleet(config: ServiceConfig, progress=None) -> dict:
 
     if not config.tenants:
         raise ValueError("service fleet has no tenants")
+    # reject a bad machine shape before any cell or report is written
+    NumaTopology(
+        nodes=config.numa_nodes, remote_multiplier=config.numa_remote_multiplier
+    )
     os.makedirs(config.out_dir, exist_ok=True)
     specs = build_cell_specs(config)
     results = execute_units(specs, jobs=config.jobs, progress=progress)

@@ -108,14 +108,10 @@ class MultiTenantMachine:
         self.tenant_ids = list(tenant_ids)
         self.seed = seed
         self.max_segments = max_segments
-        topology = (
-            NumaTopology(
-                nodes=numa_nodes, remote_multiplier=numa_remote_multiplier
-            )
-            if numa_nodes > 1
-            else None
+        topology = NumaTopology(
+            nodes=numa_nodes, remote_multiplier=numa_remote_multiplier
         )
-        nodes = numa_nodes if numa_nodes > 1 else 1
+        nodes = topology.nodes
         regions = max(nodes, int(len(tenant_ids) * regions_per_tenant) + 1)
         regions += (-regions) % nodes  # whole regions per node
         machine = default_machine(regions)
@@ -211,7 +207,7 @@ class MultiTenantMachine:
         """JSON-able shard record: per-tenant stats + machine state."""
         system = self.system
         buddy = system.buddy
-        nodes = getattr(buddy, "nodes", 1)
+        nodes = buddy.nodes
         tenants = []
         for tid in self.tenant_ids:
             process, _, segments = self._tenants[tid]
@@ -225,11 +221,7 @@ class MultiTenantMachine:
                     "mapped_bytes": process.mapped_bytes,
                     "segments": len(segments),
                     # contiguity available where this tenant allocates
-                    "home_fmfi": (
-                        buddy.node_fmfi(process.home_node)
-                        if nodes > 1
-                        else system.fmfi
-                    ),
+                    "home_fmfi": buddy.node_fmfi(process.home_node),
                 }
             )
         machine: dict = {
@@ -385,6 +377,10 @@ def run_multi_tenant(config: MultiTenantConfig, progress=None) -> dict:
         raise ValueError("need at least one tenant")
     if config.shards < 1:
         raise ValueError("need at least one shard")
+    # reject a bad machine shape before any shard or manifest is written
+    NumaTopology(
+        nodes=config.numa_nodes, remote_multiplier=config.numa_remote_multiplier
+    )
     os.makedirs(config.out_dir, exist_ok=True)
     specs = build_shard_specs(config)
     results = execute_units(specs, jobs=config.jobs, progress=progress)

@@ -22,7 +22,7 @@ from repro.core.compaction import NormalCompactor, SmartCompactor
 from repro.core.rmap import ReverseMap
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.fragmentation import FragmentationInjector, fmfi
-from repro.mem.numa import NumaBuddyPools, NumaTopology
+from repro.mem.numa import NumaTopology
 from repro.mem.regions import RegionTracker
 from repro.mem.zerofill import ZeroFillEngine
 from repro.obs import Observability
@@ -42,7 +42,7 @@ class System:
         daemon_period_accesses: int = 20_000,
         daemon_budget_ns: float = 2_000_000.0,
         obs: Observability | None = None,
-        numa: NumaTopology | None = None,
+        numa: NumaTopology = NumaTopology(),
         pt_replication: bool = False,
     ) -> None:
         self.machine = machine
@@ -57,31 +57,20 @@ class System:
         self.regions = RegionTracker(
             machine.total_frames, machine.geometry, obs=self.obs
         )
-        #: NUMA shape (None = the flat pre-NUMA machine, byte-identical to
-        #: a 1-node topology — see tests/sim/test_numa_differential.py)
+        #: NUMA shape (the default single node is the flat machine)
         self.numa = numa
+        #: remote-penalty charging only exists on a real multi-node shape
+        self._numa_active = numa.nodes > 1
         #: Mitosis-style page-table replication: walks always hit a local
         #: replica; every fault pays pte_update_ns per remote replica
-        self.pt_replication = bool(pt_replication) and (
-            numa is not None and numa.nodes > 1
+        self.pt_replication = bool(pt_replication) and self._numa_active
+        self.buddy = BuddyAllocator(
+            machine.total_frames,
+            machine.geometry.large_order,
+            nodes=numa.nodes,
+            listeners=(self.regions,),
+            obs=self.obs,
         )
-        if numa is not None:
-            self.buddy = NumaBuddyPools(
-                machine.total_frames,
-                machine.geometry.large_order,
-                numa,
-                listeners=(self.regions,),
-                obs=self.obs,
-            )
-        else:
-            self.buddy = BuddyAllocator(
-                machine.total_frames,
-                machine.geometry.large_order,
-                listeners=(self.regions,),
-                obs=self.obs,
-            )
-        #: remote-penalty charging only exists on a real multi-node shape
-        self._numa_active = numa is not None and numa.nodes > 1
         self.faults_handled = 0
         self.replica_updates = 0
         #: cumulative ns of every NUMA charge (walk + data penalties and
@@ -264,16 +253,15 @@ class System:
 
     # -- processes --------------------------------------------------------------
     def create_process(self, name: str = "app", home_node: int = 0) -> Process:
+        if not 0 <= home_node < self.numa.nodes:
+            raise ValueError(
+                f"home_node {home_node} out of range [0, {self.numa.nodes})"
+            )
         tlb = TLBHierarchy(self.machine.walk, self.geometry, obs=self.obs)
         process = Process(self._next_pid, name, self.geometry, tlb)
         self._next_pid += 1
+        process.home_node = home_node
         if self._numa_active:
-            if not 0 <= home_node < self.numa.nodes:
-                raise ValueError(
-                    f"home_node {home_node} out of range "
-                    f"[0, {self.numa.nodes})"
-                )
-            process.home_node = home_node
             # Page tables are built by the boot CPU (first-touch on node
             # 0); replication sidesteps the resulting remote walks.
             process.pt_node = 0

@@ -192,8 +192,8 @@ class PageTable:
     def enable_node_accounting(self, node_of, nodes: int) -> None:
         """Maintain per-node resident-frame counters from here on.
 
-        ``node_of`` maps a pfn to its NUMA node (the buddy facade's
-        :meth:`~repro.mem.numa.NumaBuddyPools.node_of`).  Existing
+        ``node_of`` maps a pfn to its NUMA node (the allocator's
+        :meth:`~repro.mem.buddy.BuddyAllocator.node_of`).  Existing
         mappings are accounted immediately; map/unmap/repoint keep the
         counters exact incrementally, O(1) per operation.
         """

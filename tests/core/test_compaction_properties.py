@@ -38,7 +38,9 @@ class CompactionMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.tracker = RegionTracker(TOTAL, GEOM)
-        self.buddy = BuddyAllocator(TOTAL, GEOM.large_order, (self.tracker,))
+        self.buddy = BuddyAllocator(
+            TOTAL, GEOM.large_order, listeners=(self.tracker,)
+        )
         self.rmap = ReverseMap()
         self.owner = TrackingOwner()
         self.normal = NormalCompactor(

@@ -7,7 +7,7 @@ from repro.mem.frames import FrameState
 
 
 def make(total=256, max_order=6, listeners=()):
-    return BuddyAllocator(total, max_order, listeners)
+    return BuddyAllocator(total, max_order, listeners=listeners)
 
 
 class TestConstruction:

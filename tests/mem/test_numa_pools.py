@@ -1,9 +1,9 @@
-"""Unit tests for the per-node buddy pools behind NumaBuddyPools."""
+"""Unit tests for the node-partitioned buddy allocator."""
 
 import pytest
 
 from repro.mem.buddy import BuddyAllocator, OutOfMemoryError
-from repro.mem.numa import NumaBuddyPools, NumaTopology
+from repro.mem.numa import NumaTopology
 from repro.obs import Observability
 
 TOTAL = 512
@@ -11,18 +11,23 @@ MAX_ORDER = 6
 NODES = 2
 
 
-def make_pools(nodes=NODES, total=TOTAL, obs=None, **topo):
-    return NumaBuddyPools(
-        total, MAX_ORDER, NumaTopology(nodes=nodes, **topo), obs=obs
-    )
+def make_pools(nodes=NODES, total=TOTAL, obs=None):
+    return BuddyAllocator(total, MAX_ORDER, nodes=nodes, obs=obs)
+
+
+def alloc_on(pools, node, order, movable=True):
+    """One allocation steered toward ``node`` (the preference spills)."""
+    pools.set_alloc_preference(node)
+    try:
+        return pools.alloc(order, movable)
+    finally:
+        pools.set_alloc_preference(None)
 
 
 class TestNumaTopology:
     def test_defaults(self):
         topo = NumaTopology()
         assert topo.nodes == 1
-        assert not topo.interleaved
-        assert NumaTopology(nodes=4).interleaved
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -61,19 +66,12 @@ class TestPartition:
         with pytest.raises(ValueError, match="bounds"):
             pools.node_of(-1)
 
-    def test_shared_frame_state_is_one_array(self):
-        pools = make_pools()
-        pfn = pools.alloc(0, node=1)
-        # The facade's global array reflects the node-1 pool's write.
-        assert not pools.is_free(pfn)
-        assert pools.is_free(0)
-
 
 class TestPlacement:
     def test_explicit_node_lands_locally(self):
         pools = make_pools()
         for node in range(NODES):
-            pfn = pools.alloc(3, node=node)
+            pfn = alloc_on(pools, node, 3)
             assert pools.node_of(pfn) == node
 
     def test_sticky_preference_steers_allocs(self):
@@ -91,14 +89,14 @@ class TestPlacement:
         pools = make_pools()
         per_node_blocks = (TOTAL // NODES) >> MAX_ORDER
         for _ in range(per_node_blocks):
-            pools.alloc(MAX_ORDER, node=0)
+            alloc_on(pools, 0, MAX_ORDER)
         assert pools.node_free_frames(0) == 0
-        pfn = pools.alloc(0, node=0)  # spill: node 0 is full
+        pfn = alloc_on(pools, 0, 0)  # spill: node 0 is full
         assert pools.node_of(pfn) == 1
 
     def test_unpreferred_allocs_pick_emptiest_node_deterministically(self):
         pools = make_pools()
-        pools.alloc(MAX_ORDER, node=0)
+        alloc_on(pools, 0, MAX_ORDER)
         # node 1 now has strictly more free frames: it wins; ties break low.
         assert pools.node_of(pools.alloc(0)) == 1
         fresh = make_pools()
@@ -115,12 +113,12 @@ class TestPlacement:
 
 
 class TestDuckType:
-    """The facade must satisfy every read the flat allocator serves."""
+    """Machine-wide reads aggregate over nodes."""
 
     def test_totals_aggregate_over_nodes(self):
         pools = make_pools()
-        pools.alloc(2, node=0)
-        pools.alloc(3, node=1)
+        alloc_on(pools, 0, 2)
+        alloc_on(pools, 1, 3)
         assert pools.used_frames == 4 + 8
         assert pools.free_frames == TOTAL - 12
         # Each alloc broke one max-order block per node.
@@ -137,8 +135,8 @@ class TestDuckType:
 
     def test_allocation_routing_and_iteration(self):
         pools = make_pools()
-        a = pools.alloc(1, movable=False, node=0)
-        b = pools.alloc(2, node=1)
+        a = alloc_on(pools, 0, 1, movable=False)
+        b = alloc_on(pools, 1, 2)
         assert pools.allocation_at(a) == (1, False)
         assert pools.allocation_at(b) == (2, True)
         assert pools.allocation_at(a + 1) is None
@@ -174,15 +172,15 @@ class TestDuckType:
 
         pools = make_pools()
         pools.add_listener(Listener())
-        pfn = pools.alloc(0, node=1)
+        pfn = alloc_on(pools, 1, 0)
         pools.free(pfn)
         assert ("alloc", pfn, 0) in events and ("free", pfn, 0) in events
-        assert pfn >= pools.node_bounds(1)[0]  # global, not pool-local
+        assert pfn >= pools.node_bounds(1)[0]  # global, not node-local
 
 
 class TestObservability:
     def test_single_node_registry_matches_flat_allocator(self):
-        """nodes=1 is the zero-cost wrapper: same metrics, byte for byte."""
+        """nodes=1 is the flat allocator: same metrics, byte for byte."""
         obs_flat, obs_numa = Observability(), Observability()
         flat = BuddyAllocator(TOTAL, MAX_ORDER, obs=obs_flat)
         pools = make_pools(nodes=1, obs=obs_numa)
@@ -197,15 +195,15 @@ class TestObservability:
         pools = make_pools(obs=obs)
         per_node_blocks = (TOTAL // NODES) >> MAX_ORDER
         for _ in range(per_node_blocks):
-            pools.alloc(MAX_ORDER, node=0)
-        pools.alloc(0, node=0)  # spills to node 1
+            alloc_on(pools, 0, MAX_ORDER)
+        alloc_on(pools, 0, 0)  # spills to node 1
         assert obs.metrics.value("numa_alloc_local_total") == per_node_blocks
         assert obs.metrics.value("numa_alloc_remote_total") == 1
 
     def test_per_node_gauges_only_exist_multi_node(self):
         obs = Observability()
         pools = make_pools(obs=obs)
-        pools.alloc(MAX_ORDER, node=1)
+        alloc_on(pools, 1, MAX_ORDER)
         obs.metrics.collect()
         assert obs.metrics.value("numa_node_free_frames", node=0) == TOTAL // 2
         assert (
@@ -216,8 +214,11 @@ class TestObservability:
         single = Observability()
         make_pools(nodes=1, obs=single).alloc(0)
         single.metrics.collect()
-        gauges = single.metrics.snapshot()["gauges"]
-        assert not any(name.startswith("numa_") for name in gauges)
+        snap = single.metrics.snapshot()
+        assert not any(
+            name.startswith("numa_")
+            for name in (*snap["gauges"], *snap["counters"])
+        )
 
     def test_node_fmfi_reflects_per_node_fragmentation(self):
         pools = make_pools()

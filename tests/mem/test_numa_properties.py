@@ -1,9 +1,9 @@
-"""Property-based tests (hypothesis) for the per-node NUMA buddy pools.
+"""Property-based tests (hypothesis) for the node-partitioned buddy allocator.
 
-Two halves, mirroring ``test_buddy_properties.py`` one layer up:
+Two halves, mirroring ``test_buddy_properties.py`` on a multi-node machine:
 
 * churn properties — random alloc/free/migrate sequences over a 2-node
-  facade preserve every per-node free-list invariant plus total-capacity
+  allocator preserve every per-node free-list invariant plus total-capacity
   conservation (no frame is ever lost to or conjured from the node
   boundary);
 * corruption injection — each way the cross-node accounting could drift
@@ -26,11 +26,12 @@ from repro.lint.invariants import (
     InvariantViolation,
     attach_auditor,
     audit_system,
+    check_buddy,
     check_node_residency,
-    check_numa_pools,
     check_replica_accounting,
 )
-from repro.mem.numa import NumaBuddyPools, NumaTopology
+from repro.mem.buddy import BuddyAllocator
+from repro.mem.numa import NumaTopology
 from repro.sim.system import System
 
 TOTAL = 256
@@ -39,7 +40,16 @@ NODES = 2
 
 
 def make_pools(nodes=NODES):
-    return NumaBuddyPools(TOTAL, MAX_ORDER, NumaTopology(nodes=nodes))
+    return BuddyAllocator(TOTAL, MAX_ORDER, nodes=nodes)
+
+
+def try_alloc_on(pools, node, order, movable=True):
+    """One allocation steered toward ``node`` (None: no preference)."""
+    pools.set_alloc_preference(node)
+    try:
+        return pools.try_alloc(order, movable)
+    finally:
+        pools.set_alloc_preference(None)
 
 
 class NumaPoolsMachine(RuleBasedStateMachine):
@@ -56,7 +66,7 @@ class NumaPoolsMachine(RuleBasedStateMachine):
         movable=st.booleans(),
     )
     def alloc(self, order, node, movable):
-        pfn = self.pools.try_alloc(order, movable, node=node)
+        pfn = try_alloc_on(self.pools, node, order, movable)
         if pfn is not None:
             assert pfn % (1 << order) == 0
             self.live.append((pfn, order))
@@ -85,7 +95,7 @@ class NumaPoolsMachine(RuleBasedStateMachine):
         across a node boundary mid-migration."""
         idx = data.draw(st.integers(0, len(self.live) - 1))
         pfn, order = self.live[idx]
-        new_pfn = self.pools.try_alloc(order, node=dest)
+        new_pfn = try_alloc_on(self.pools, dest, order)
         if new_pfn is None:
             return
         self.live[idx] = (new_pfn, order)
@@ -133,7 +143,7 @@ def test_200_seed_churn_preserves_invariants(seed):
         if op < 0.5 or not live:
             order = rng.randrange(0, MAX_ORDER + 1)
             node = rng.choice([None, 0, 1])
-            pfn = pools.try_alloc(order, node=node)
+            pfn = try_alloc_on(pools, node, order)
             if pfn is not None:
                 live.append((pfn, order))
         elif op < 0.8:
@@ -143,11 +153,11 @@ def test_200_seed_churn_preserves_invariants(seed):
             idx = rng.randrange(len(live))
             pfn, order = live[idx]
             target = 1 - pools.node_of(pfn)
-            new_pfn = pools.try_alloc(order, node=target)
+            new_pfn = try_alloc_on(pools, target, order)
             if new_pfn is not None:
                 live[idx] = (new_pfn, order)
                 pools.free(pfn)
-    check_numa_pools(pools)
+    check_buddy(pools)
     assert pools.free_frames == TOTAL - sum(1 << o for _, o in live)
     for pfn, _ in live:
         pools.free(pfn)
@@ -163,37 +173,34 @@ class TestCorruptionInjection:
 
     def test_clean_pools_pass(self):
         pools = make_pools()
-        pools.alloc(2, node=0)
-        assert check_numa_pools(pools) > 0
+        try_alloc_on(pools, 0, 2)
+        assert check_buddy(pools) > 0
 
     def test_free_list_tamper_rejected(self):
         pools = make_pools()
-        pfn = pools.alloc(0, node=0)
+        pfn = try_alloc_on(pools, 0, 0)
         # Resurrect the allocated frame on its own node's free list.
-        pools.pools[0]._free_lists[0].add(pfn)
+        pools._free_lists[0].add(pfn)
         with pytest.raises(InvariantViolation):
-            check_numa_pools(pools)
+            check_buddy(pools)
 
     def test_cross_node_stolen_block_rejected(self):
         pools = make_pools()
-        # Node 1 "steals" a block node 0 still accounts for: the same
-        # local pfn appears free on both sides of the boundary.
-        start = pools.pools[0]._free_lists[MAX_ORDER].pop_lowest()
-        pools.pools[1]._free_lists[MAX_ORDER].add(start)
+        # Node 1 "steals" a block node 0 still owns: the block leaves
+        # node 0's heap and is queued on node 1's, which would hand out
+        # frames across the boundary.
+        free_list = pools._free_lists[MAX_ORDER]
+        start = free_list.pop_lowest(0)
+        free_list._members.add(start)
+        free_list._heaps[1].append(start)
         with pytest.raises(InvariantViolation):
-            check_numa_pools(pools)
+            check_buddy(pools)
 
     def test_free_frame_counter_skew_rejected(self):
         pools = make_pools()
-        pools.pools[1]._free_frames -= 1
+        pools._node_free[1] -= 1
         with pytest.raises(InvariantViolation, match="free-frame"):
-            check_numa_pools(pools)
-
-    def test_pool_base_drift_rejected(self):
-        pools = make_pools()
-        pools.pools[1].pfn_base += 1 << MAX_ORDER
-        with pytest.raises(InvariantViolation, match="covers"):
-            check_numa_pools(pools)
+            check_buddy(pools)
 
 
 def _numa_system(pt_replication=False):

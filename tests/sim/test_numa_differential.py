@@ -1,11 +1,11 @@
 """Single-node NUMA machine is counter-for-counter the flat machine.
 
-The zero-cost contract from ``repro.mem.numa``: constructing a System
-with ``NumaTopology(nodes=1, remote_multiplier=1.0)`` must leave the
-simulation *bitwise* where the flat allocator leaves it — the same pfn
-sequence out of the buddy layer, hence the same promotion decisions, the
-same simulated clock, the same TLB set orderings and walk histograms,
-the same FMFI gauges.  :func:`repro.sim.bench.state_fingerprint` plus a
+A System with ``NumaTopology(nodes=1, remote_multiplier=1.0)`` must leave
+the simulation *bitwise* where the default (flat) System leaves it — the
+same pfn sequence out of the buddy layer, hence the same promotion
+decisions, the same simulated clock, the same TLB set orderings and walk
+histograms, the same FMFI gauges: a 1-node machine has no remote memory,
+so the multiplier must never show.  :func:`repro.sim.bench.state_fingerprint` plus a
 full registry snapshot pin all of it, across every policy.
 
 The companion direction: with more than one node the penalty model must
@@ -29,7 +29,9 @@ FOOTPRINT = 8 * 1024 * 1024
 POLICIES = [TridentPolicy, THPPolicy, Baseline4KPolicy, HawkEyePolicy]
 
 
-def _run(policy, numa=None, pt_replication=False, home_node=0, n=30_000):
+def _run(
+    policy, numa=NumaTopology(), pt_replication=False, home_node=0, n=30_000
+):
     system = System(
         default_machine(16),
         policy,
@@ -38,8 +40,7 @@ def _run(policy, numa=None, pt_replication=False, home_node=0, n=30_000):
         pt_replication=pt_replication,
     )
     system.daemon_period_accesses = 5_000  # force promotions mid-stream
-    kwargs = {"home_node": home_node} if numa is not None else {}
-    process = system.create_process(**kwargs)
+    process = system.create_process(home_node=home_node)
     base = system.sys_mmap(process, FOOTPRINT)
     rng = np.random.default_rng(42)
     stream = zipf(rng, base, FOOTPRINT, n)
@@ -57,7 +58,7 @@ def test_single_node_bitwise_equal_to_flat(policy):
     flat_fp = state_fingerprint(flat_sys, flat_proc)
     numa_fp = state_fingerprint(numa_sys, numa_proc)
     mismatched = [k for k in flat_fp if flat_fp[k] != numa_fp[k]]
-    assert not mismatched, f"nodes=1 facade diverged on: {mismatched}"
+    assert not mismatched, f"nodes=1 machine diverged on: {mismatched}"
     # The registries agree byte for byte: clock, TLB histograms, buddy
     # gauges, FMFI — and no numa_* metric ever materialized.
     flat_sys.obs.metrics.collect()
@@ -99,13 +100,15 @@ class TestMultiNodeEngages:
         )
         process = system.create_process(home_node=1)
         # Exhaust the home node so faults must place frames on node 0.
-        # Drain the node-1 pool directly: the facade's ``node=`` argument
-        # is a preference that would spill and drain node 0 too.
-        home_pool = system.buddy.pools[1]
-        for order in range(system.geometry.large_order, -1, -1):
-            while home_pool.try_alloc(order) is not None:
-                pass
-        assert system.buddy.node_free_frames(1) == 0
+        # Claim node 1's free blocks by address: a preferred alloc would
+        # spill and drain node 0 too.
+        buddy = system.buddy
+        lo, hi = buddy.node_bounds(1)
+        for order in range(buddy.max_order + 1):
+            for start in buddy.free_block_starts(order):
+                if lo <= start < hi:
+                    buddy.alloc_at(start, order)
+        assert buddy.node_free_frames(1) == 0
         base = system.sys_mmap(process, FOOTPRINT)
         rng = np.random.default_rng(42)
         system.touch_batch(process, zipf(rng, base, FOOTPRINT, 10_000))

@@ -6,6 +6,7 @@ import pytest
 from repro.config import default_machine
 from repro.core.thp import THPPolicy
 from repro.core.trident import TridentPolicy
+from repro.mem.numa import NumaTopology
 from repro.sim.perfmodel import PerfModel, RunMetrics
 from repro.sim.system import System
 
@@ -84,6 +85,21 @@ class TestSystem:
         system.touch(p, addr)
         by_size = system.mapped_bytes_by_size(p)
         assert by_size[LVL_LARGE] == LARGE
+
+    @pytest.mark.parametrize("nodes", [1, 2])
+    @pytest.mark.parametrize("home_node", [-1, 2, 5])
+    def test_home_node_outside_topology_rejected(self, nodes, home_node):
+        system = System(
+            default_machine(16), TridentPolicy, numa=NumaTopology(nodes=nodes)
+        )
+        with pytest.raises(ValueError, match="home_node"):
+            system.create_process(home_node=home_node)
+        assert system.processes == []
+
+    def test_default_machine_is_one_node(self):
+        system, p = make()
+        assert system.numa == NumaTopology()
+        assert system.buddy.nodes == 1 and p.home_node == 0
 
 
 class TestPerfModel:

@@ -419,6 +419,29 @@ class TestServiceCLI:
         assert code == 2
         assert "error:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("nodes", ["0", "-3"])
+    def test_loadgen_rejects_bad_node_count(self, capsys, tmp_path, nodes):
+        out = tmp_path / "svc"
+        code = main(
+            ["loadgen", "--workloads", "GUPS", "--policies", "Trident",
+             "--rate", "1000", "--numa-nodes", nodes, "-o", str(out),
+             *SERVICE_QUICK]
+        )
+        assert code != 0
+        assert "nodes must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nodes", ["0", "-3"])
+    def test_tenants_rejects_bad_node_count(self, capsys, tmp_path, nodes):
+        out = tmp_path / "ten"
+        code = main(
+            ["tenants", "--tenants", "4", "--shards", "2", "--quick",
+             "--numa-nodes", nodes, "--out", str(out)]
+        )
+        assert code != 0
+        assert "nodes must be >= 1" in capsys.readouterr().out
+        assert not out.exists()
+
     def test_loadgen_failed_cell_exits_three(self, capsys, tmp_path):
         code = main(
             ["loadgen", "--workloads", "GUPS", "--policies", "bogus",
