@@ -53,7 +53,12 @@ import argparse
 import sys
 
 from repro.config import SCALE_FACTOR
-from repro.obs.options import add_obs_args, obs_options_from_args
+from repro.obs.options import (
+    ObsOptions,
+    add_obs_args,
+    ambient,
+    obs_options_from_args,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -692,8 +697,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
     obs_options = obs_options_from_args(args)
 
-    def one(policy: str, first: bool):
-        obs_kwargs = obs_options.run_kwargs(primary=first)
+    def one(policy: str, obs: ObsOptions):
         if args.virt:
             runner = VirtRunner(
                 VirtRunConfig(
@@ -704,7 +708,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     seed=args.seed,
                     guest_fragmented=args.fragmented,
                     geometry_name=args.geometry,
-                    **obs_kwargs,
+                    obs=obs,
                 )
             )
         else:
@@ -716,12 +720,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     n_accesses=args.accesses,
                     seed=args.seed,
                     geometry_name=args.geometry,
-                    **obs_kwargs,
+                    obs=obs,
                 )
             )
         return runner.run(), runner.obs
 
-    metrics, obs = one(_resolve_policy(policy_name), first=True)
+    metrics, obs = one(_resolve_policy(policy_name), obs_options)
     _print_metrics(metrics, preset)
     if obs_options.trace_enabled:
         _print_trace_summary(obs, obs_options.trace_out)
@@ -732,7 +736,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if obs_options.report_out:
         print(f"report written:    {obs_options.report_out}")
     if args.baseline:
-        base, _ = one(_resolve_policy(args.baseline), first=False)
+        base, _ = one(_resolve_policy(args.baseline), obs_options.companion())
         print(
             f"\nvs {base.policy}: speedup {metrics.speedup_over(base):.3f}x, "
             f"walk-cycle fraction {metrics.walk_fraction_vs(base):.3f}x"
@@ -783,26 +787,15 @@ def _print_metrics(m, preset=None) -> None:
 
 
 def _cmd_experiment(
-    name: str,
-    metrics_out: str | None = None,
-    quick: bool = False,
-    seed: int = 7,
-    audit: bool = False,
-    timeline: bool = False,
+    name: str, obs: ObsOptions, quick: bool = False, seed: int = 7
 ) -> int:
-    import repro.experiments.runner as runner_mod
     from repro.experiments.run_all import MODULES, main as run_all_main
 
-    if metrics_out:
+    if obs.metrics_dir:
         import os
 
-        os.makedirs(metrics_out, exist_ok=True)
-        runner_mod.set_metrics_dir(metrics_out)
-    if audit:
-        runner_mod.set_audit(True)
-    if timeline:
-        runner_mod.set_timeline(True)
-    try:
+        os.makedirs(obs.metrics_dir, exist_ok=True)
+    with ambient(obs):
         if name == "all":
             run_all_main((["--quick"] if quick else []) + ["--seed", str(seed)])
             return 0
@@ -814,10 +807,6 @@ def _cmd_experiment(
             return 2
         table[name].main(quick=quick, seed=seed)
         return 0
-    finally:
-        runner_mod.set_metrics_dir(None)
-        runner_mod.set_audit(False)
-        runner_mod.set_timeline(False)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -1357,15 +1346,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "experiment":
-        exp_obs = obs_options_from_args(args)
-        return _cmd_experiment(
-            args.name,
-            args.metrics_out,
-            quick=args.quick,
-            seed=args.seed,
-            audit=exp_obs.audit,
-            timeline=exp_obs.timeline,
+        obs = ObsOptions(
+            metrics_dir=args.metrics_out, audit=args.audit, timeline=args.timeline
         )
+        return _cmd_experiment(args.name, obs, quick=args.quick, seed=args.seed)
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "metrics":

@@ -157,6 +157,11 @@ class MemoryPolicy:
         """Run daemon work for up to ``budget_ns``; returns ns consumed."""
         return 0.0
 
+    @property
+    def throttled(self) -> bool:
+        """The daemon is repaying CPU-cap debt, so idle ticks are not quiet."""
+        return False
+
     def on_boot(self) -> None:
         """Hook run once after the system is constructed (hugetlbfs reserves)."""
 

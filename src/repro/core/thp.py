@@ -117,6 +117,10 @@ class THPPolicy(MemoryPolicy):
         self.stats.daemon_ns += used
         return used
 
+    @property
+    def throttled(self) -> bool:
+        return self._debt_ns > 0.0
+
     def _next_candidate(self) -> tuple | None:
         """Next (process, va, size) from the scan stream; None ends the tick."""
         if self._stream is None:

@@ -65,6 +65,7 @@ MANIFEST_VERSION = 1
 
 MODULE_TARGET = "repro.experiments.orchestrator:run_module_unit"
 GRID_TARGET = "repro.experiments.orchestrator:run_grid_cell"
+RECORD_TARGET = "repro.experiments.orchestrator:run_record_unit"
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +257,24 @@ def _jsonable(value):
     return str(value)
 
 
+@contextlib.contextmanager
 def _redirect_into(
     out_dir: str, unit_slug: str, audit: bool = False, timeline: bool = False
 ):
-    """Point the report + obs plumbing of this worker at the sweep dirs."""
+    """Point the report + obs plumbing of this worker at the sweep dirs.
+
+    Yields the unit's metrics drop directory; the runs inside the block
+    use ambient options that audit/record the timeline as asked and drop
+    their ``metrics.json`` there.
+    """
     from repro.experiments import report as report_mod
-    from repro.experiments import runner as runner_mod
+    from repro.obs.options import ObsOptions, ambient
 
     report_mod.REPORT_DIR = out_dir
     metrics_dir = os.path.join(out_dir, "metrics", unit_slug)
-    runner_mod.METRICS_DIR = metrics_dir
-    runner_mod.set_audit(audit)
-    runner_mod.set_timeline(timeline)
-    return metrics_dir
+    options = ObsOptions(metrics_dir=metrics_dir, audit=audit, timeline=timeline)
+    with ambient(options):
+        yield metrics_dir
 
 
 def _collect_metrics_files(metrics_dir: str) -> list:
@@ -298,12 +304,14 @@ def run_module_unit(
 ) -> dict:
     """Worker target: run one whole module's ``main`` (non-grid unit)."""
     module = importlib.import_module(f"repro.experiments.{module_name}")
-    metrics_dir = _redirect_into(
-        out_dir, unit_slug, audit=audit, timeline=timeline
-    )
-    with _open_log(out_dir, unit_slug) as log:
-        with contextlib.redirect_stdout(log):
-            module.main(quick=quick, seed=seed)
+    with (
+        _redirect_into(
+            out_dir, unit_slug, audit=audit, timeline=timeline
+        ) as metrics_dir,
+        _open_log(out_dir, unit_slug) as log,
+        contextlib.redirect_stdout(log),
+    ):
+        module.main(quick=quick, seed=seed)
     csv_names = getattr(module, "CSV_NAME", ())
     if isinstance(csv_names, str):
         csv_names = (csv_names,)
@@ -327,14 +335,16 @@ def run_grid_cell(
 ) -> dict:
     """Worker target: run one (module, workload) cell, dump rows as JSON."""
     module = importlib.import_module(f"repro.experiments.{module_name}")
-    metrics_dir = _redirect_into(
-        out_dir, unit_slug, audit=audit, timeline=timeline
-    )
-    with _open_log(out_dir, unit_slug) as log:
-        with contextlib.redirect_stdout(log):
-            rows = module.run(
-                workloads=(workload,), seed=seed, **(extra_kwargs or {})
-            )
+    with (
+        _redirect_into(
+            out_dir, unit_slug, audit=audit, timeline=timeline
+        ) as metrics_dir,
+        _open_log(out_dir, unit_slug) as log,
+        contextlib.redirect_stdout(log),
+    ):
+        rows = module.run(
+            workloads=(workload,), seed=seed, **(extra_kwargs or {})
+        )
     os.makedirs(os.path.dirname(out_path), exist_ok=True)
     with open(out_path, "w") as f:
         json.dump(rows, f, default=_jsonable)
@@ -342,6 +352,45 @@ def run_grid_cell(
         "outputs": [out_path],
         "metrics": _collect_metrics_files(metrics_dir),
     }
+
+
+def run_record_unit(record_target: str, out_path: str, **kwargs) -> dict:
+    """Worker target: run ``record_target(**kwargs)``, persist its record.
+
+    ``record_target`` is a ``"module:function"`` returning one JSON-able
+    record (a tenant shard, a service cell); it lands at ``out_path`` as
+    sorted-key JSON, the input :func:`run_record_units` reloads.
+    """
+    record = _resolve_target(record_target)(**kwargs)
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+    with open(out_path, "w") as f:
+        json.dump(record, f, indent=2, sort_keys=True)
+        f.write("\n")
+    return {"outputs": [out_path]}
+
+
+def run_record_units(specs: list, noun: str, jobs: int = 1, progress=None) -> list:
+    """Execute record units on the pool; returns their records in spec order.
+
+    Raises ``RuntimeError`` naming every unit that did not complete
+    (``"N <noun>(s) failed: ..."``) — a report with silently missing
+    units would misstate every aggregate.  Records are reloaded from
+    disk in canonical spec order, never completion order, so ``jobs=1``
+    and ``jobs=N`` compile identical input.
+    """
+    results = execute_units(specs, jobs=jobs, progress=progress)
+    failed = [
+        f"{unit_id} ({results[unit_id].status}: {results[unit_id].error})"
+        for unit_id in sorted(results)
+        if results[unit_id].status != "ok"
+    ]
+    if failed:
+        raise RuntimeError(f"{len(failed)} {noun}(s) failed: " + "; ".join(failed))
+    records = []
+    for spec in specs:
+        with open(spec.kwargs["out_path"]) as f:
+            records.append(json.load(f))
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ top of the steady-state compute term.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,71 +30,11 @@ from repro.config import (
 )
 from repro.experiments.configs import policy_factory
 from repro.obs import Observability
+from repro.obs.options import ObsOptions, ambient_options
 from repro.sim.perfmodel import PerfModel, RunMetrics
 from repro.sim.system import System
 from repro.vm.mappability import MappabilityScanner
 from repro.workloads.registry import get_workload
-
-#: when set (``repro experiment --metrics-out DIR``, or per worker by the
-#: sweep orchestrator), every runner writes a per-run
-#: ``metrics_<workload>_<policy>.json`` into this directory, next to the
-#: report CSVs
-METRICS_DIR: str | None = None
-
-
-def metrics_dir() -> str | None:
-    """The active metrics drop directory.
-
-    Set in-process by the CLI, or inside each orchestrator worker by
-    :func:`repro.experiments.orchestrator._redirect_into`.
-    """
-    return METRICS_DIR or None
-
-
-def set_metrics_dir(path: str | None) -> None:
-    """Point every subsequent runner's metrics.json drop at ``path``."""
-    global METRICS_DIR
-    METRICS_DIR = path
-
-
-#: when True (``--audit``, or per worker by the sweep orchestrator), every
-#: runner attaches a sampled invariant auditor (repro.lint.invariants) to
-#: the systems it boots
-AUDIT: bool = False
-
-
-def audit_enabled() -> bool:
-    """Whether runs should attach invariant auditors.
-
-    Set the same way as :func:`metrics_dir`.
-    """
-    return AUDIT
-
-
-def set_audit(on: bool) -> None:
-    """Enable/disable invariant auditing for subsequent runners."""
-    global AUDIT
-    AUDIT = bool(on)
-
-
-#: when True (``--timeline``, or per worker by the sweep orchestrator),
-#: every runner's obs bundle gets a simulated-time sampler + span recorder
-TIMELINE: bool = False
-
-
-def timeline_enabled() -> bool:
-    """Whether runs should record the simulated-time timeline.
-
-    Set the same way as :func:`metrics_dir`.
-    """
-    return TIMELINE
-
-
-def set_timeline(on: bool) -> None:
-    """Enable/disable timeline recording for subsequent runners."""
-    global TIMELINE
-    TIMELINE = bool(on)
-
 
 def _metrics_run_section(metrics: RunMetrics) -> dict:
     """The RunMetrics-derived summary embedded in each metrics.json."""
@@ -120,102 +59,6 @@ def _metrics_run_section(metrics: RunMetrics) -> dict:
     }
 
 
-def emit_metrics_json(
-    obs: Observability,
-    metrics: RunMetrics,
-    explicit_path: str | None,
-    auditors: tuple = (),
-) -> str | None:
-    """Write one run's metrics.json (explicit path or the METRICS_DIR drop).
-
-    Returns the path written, or None when neither destination is set.
-    ``auditors`` (any of which may be None) contribute the ``audit_*``
-    fields that let an audited sweep prove the invariant checks ran.
-    """
-    path = explicit_path
-    drop_dir = metrics_dir()
-    if path is None and drop_dir:
-        safe = f"metrics_{metrics.workload}_{metrics.policy}".replace("/", "_")
-        path = os.path.join(drop_dir, f"{safe}.json")
-    if path is None:
-        return None
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    section = _metrics_run_section(metrics)
-    live = [a for a in auditors if a is not None]
-    if live:
-        section["audit_runs"] = sum(a.audits for a in live)
-        section["audit_checks"] = sum(a.checks for a in live)
-        section["audit_violations"] = sum(a.violations for a in live)
-    return obs.write_metrics_json(path, extra={"run": section})
-
-
-def _build_obs(config) -> Observability:
-    subsystems: tuple[str, ...] | str = ()
-    if config.trace:
-        subsystems = config.trace_subsystems or "all"
-    return Observability(
-        trace_subsystems=subsystems,
-        trace_capacity=config.trace_capacity,
-        timeline=_wants_timeline(config),
-        timeline_interval_ms=config.timeline_interval_ms,
-    )
-
-
-def attach_telemetry(obs: Observability, config):
-    """Wire a SimClock-cadence scrape stream when the config asks for one.
-
-    Returns the scraper (callers must ``close()`` it before exporting
-    artifacts so the stream ends with the end-of-run frame), or None.
-    """
-    telemetry_out = getattr(config, "telemetry_out", None)
-    if not telemetry_out:
-        return None
-    from repro.obs.telemetry import ScrapeFileSink, TelemetryScraper
-
-    return TelemetryScraper(
-        obs.clock,
-        obs.metrics,
-        ScrapeFileSink(telemetry_out),
-        interval_ms=config.telemetry_interval_ms,
-    )
-
-
-def _wants_timeline(config) -> bool:
-    """Explicit per-run flag first; output paths imply it; else the global."""
-    if config.timeline is not None:
-        return config.timeline
-    if config.timeline_out or config.report_out:
-        return True
-    return timeline_enabled()
-
-
-def export_timeline_artifacts(obs: Observability, metrics: RunMetrics, config) -> None:
-    """Write the run's Chrome trace and/or HTML report, when requested."""
-    for path in (config.timeline_out, config.report_out):
-        if path:
-            parent = os.path.dirname(path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-    if config.timeline_out:
-        from repro.obs.export import write_chrome_trace
-
-        write_chrome_trace(
-            config.timeline_out,
-            tracer=obs.tracer,
-            timeline=obs.timeline,
-            clock=obs.clock,
-        )
-    if config.report_out:
-        from repro.obs.report import write_report
-
-        data = obs.metrics.snapshot()
-        data["timeline"] = obs.timeline_export()
-        title = f"{metrics.workload} / {metrics.policy}"
-        write_report(config.report_out, [(title, data)], title=title)
-
-
 @dataclass
 class RunConfig:
     """Knobs for one measured run."""
@@ -233,8 +76,9 @@ class RunConfig:
     #: machine size in large regions; None = the paper's testbed (192GB per
     #: socket = 192 1GB regions, scaled), floored at 1.15x the footprint
     machine_regions: int | None = None
-    #: page-table depth: 4 (x86-64) or 5 (LA57, the extension study)
-    walk_levels: int = 4
+    #: page-table depth: 4 (x86-64) or 5 (LA57, the extension study);
+    #: None = the geometry's own ``walk.levels_base``
+    walk_levels: int | None = None
     settle_ticks: int = 400
     record_requests: bool = False
     accesses_per_request: int = 4
@@ -248,29 +92,9 @@ class RunConfig:
     #: even with compaction.  None = run daemons to convergence.
     daemon_total_fraction: float | None = 0.25
     fragment_kwargs: dict = field(default_factory=dict)
-    #: observability: enable the structured-event tracer for this run
-    trace: bool = False
-    #: subsystems to trace; None/empty = all of repro.obs.trace.SUBSYSTEMS
-    trace_subsystems: tuple[str, ...] | None = None
-    trace_capacity: int = 65536
-    #: write the metrics registry snapshot (plus a RunMetrics summary) here
-    metrics_out: str | None = None
-    #: sampled runtime invariant auditing (repro.lint.invariants):
-    #: True/False forces it for this run; None defers to audit_enabled()
-    audit: bool | None = None
-    #: buddy events between sampled audits (smaller = tighter, slower)
-    audit_every: int = 4096
-    #: simulated-time timeline (clock + spans + samplers): True/False forces
-    #: it; None defers to the output paths below, then timeline_enabled()
-    timeline: bool | None = None
-    timeline_interval_ms: float = 0.5
-    #: write a Chrome Trace Event Format JSON here (Perfetto-loadable)
-    timeline_out: str | None = None
-    #: write a self-contained single-file HTML report here
-    report_out: str | None = None
-    #: append Prometheus-text scrape frames (SimClock cadence) here
-    telemetry_out: str | None = None
-    telemetry_interval_ms: float = 1.0
+    #: observability selections; defaults to the ambient options
+    #: (``repro experiment`` flags, or the sweep worker's)
+    obs: ObsOptions = field(default_factory=ambient_options)
 
 
 class _WorkloadAPI:
@@ -306,7 +130,7 @@ class NativeRunner:
         self.config = config
         self.workload = get_workload(config.workload)
         self.machine = self._size_machine()
-        self.obs = _build_obs(config)
+        self.obs = Observability.from_options(config.obs)
         self.system = System(
             self.machine,
             policy_factory(config.policy),
@@ -315,11 +139,7 @@ class NativeRunner:
             obs=self.obs,
         )
         self.scanner: MappabilityScanner | None = None
-        want_audit = config.audit if config.audit is not None else audit_enabled()
-        if want_audit:
-            from repro.lint.invariants import attach_auditor
-
-            attach_auditor(self.system, every=config.audit_every)
+        self.obs.attach(self.system)
 
     #: the testbed's per-socket memory: 192GB of 1GB regions (Table 1)
     TESTBED_REGIONS = 192
@@ -344,18 +164,17 @@ class NativeRunner:
             machine = preset.machine(regions)
         else:
             machine = default_machine(regions, geometry)
-        if self.config.walk_levels != machine.walk.levels_base:
-            from dataclasses import replace
-
+        levels = self.config.walk_levels
+        if levels is not None and levels != machine.walk.levels_base:
             machine = replace(
                 machine,
-                walk=replace(machine.walk, levels_base=self.config.walk_levels),
+                walk=replace(machine.walk, levels_base=levels),
             )
         return machine
 
     def run(self) -> RunMetrics:
         cfg = self.config
-        scraper = attach_telemetry(self.obs, cfg)
+        self.obs.start_scrape()
         if cfg.fragmented:
             self.system.fragment(**cfg.fragment_kwargs)
         process = self.system.create_process(cfg.workload)
@@ -379,46 +198,26 @@ class NativeRunner:
             fault_parallelism=self.workload.spec.threads,
         )
         metrics = model.collect(self.system, process, cfg.workload, latencies)
-        if self.system.auditor is not None:
-            self.system.auditor.audit()  # final audit: every run gets >= 1
-        if self.obs.timeline is not None:
-            self.obs.timeline.sample()  # closing sample at end-of-run state
-        if scraper is not None:
-            scraper.close()  # final frame at end-of-run state
-        emit_metrics_json(
-            self.obs, metrics, cfg.metrics_out, auditors=(self.system.auditor,)
-        )
-        export_timeline_artifacts(self.obs, metrics, cfg)
+        self.obs.finish(_metrics_run_section(metrics))
         return metrics
 
     def _settle(self) -> None:
         """Run daemons until convergence or the run's total CPU allowance."""
         cfg = self.config
-        if cfg.daemon_total_fraction is None:
-            self.system.settle_until_quiet(
-                max_ticks=cfg.settle_ticks, budget_ns=cfg.settle_budget_ns
+        cap_ns = None
+        if cfg.daemon_total_fraction is not None:
+            runtime_est_ns = (
+                self.workload.represented_accesses
+                * self.workload.spec.cpi_base
+                * 1.3
+                / 2.3
             )
-            return
-        runtime_est_ns = (
-            self.workload.represented_accesses
-            * self.workload.spec.cpi_base
-            * 1.3
-            / 2.3
+            cap_ns = cfg.daemon_total_fraction * runtime_est_ns
+        self.system.settle_until_quiet(
+            max_ticks=cfg.settle_ticks,
+            budget_ns=cfg.settle_budget_ns,
+            daemon_cap_ns=cap_ns,
         )
-        total_ns = cfg.daemon_total_fraction * runtime_est_ns
-        stats = self.system.policy.stats
-        quiet = 0
-        last = (dict(stats.promoted), dict(stats.demoted))
-        for _ in range(cfg.settle_ticks):
-            if stats.daemon_ns >= total_ns:
-                break
-            self.system.run_daemons(cfg.settle_budget_ns)
-            now = (dict(stats.promoted), dict(stats.demoted))
-            throttled = getattr(self.system.policy, "_debt_ns", 0.0) > 0.0
-            quiet = quiet + 1 if (now == last and not throttled) else 0
-            last = now
-            if quiet >= 5:
-                break
 
     def _run_stream(self, process, api) -> None:
         """Play the workload's batches through the vectorized hot path."""
@@ -485,24 +284,10 @@ class VirtRunConfig:
     #: opening Trident-pv exploits.
     guest_daemon_total_s: float | None = None
     fragment_kwargs: dict = field(default_factory=dict)
-    #: observability (instruments the *guest* system; the host runs bare)
-    trace: bool = False
-    trace_subsystems: tuple[str, ...] | None = None
-    trace_capacity: int = 65536
-    metrics_out: str | None = None
-    #: sampled runtime invariant auditing of both guest and host systems,
-    #: plus the post-hypercall pv bijectivity check; None = audit_enabled()
-    audit: bool | None = None
-    audit_every: int = 4096
-    #: simulated-time timeline of the guest system (same semantics as
-    #: :class:`RunConfig`)
-    timeline: bool | None = None
-    timeline_interval_ms: float = 0.5
-    timeline_out: str | None = None
-    report_out: str | None = None
-    #: append Prometheus-text scrape frames of the guest registry here
-    telemetry_out: str | None = None
-    telemetry_interval_ms: float = 1.0
+    #: observability of the *guest* system (the host runs bare; with
+    #: ``audit`` both are audited, plus the post-hypercall pv bijectivity
+    #: check); defaults to the ambient options
+    obs: ObsOptions = field(default_factory=ambient_options)
 
 
 class VirtRunner:
@@ -554,7 +339,7 @@ class VirtRunner:
         else:
             guest_factory = policy_factory(config.guest_policy)
 
-        self.obs = _build_obs(config)
+        self.obs = Observability.from_options(config.obs)
         self.vm = VirtualMachine(
             guest_machine,
             host_machine,
@@ -564,25 +349,14 @@ class VirtRunner:
             guest_daemon_budget_ns=config.guest_daemon_budget_ns,
             guest_obs=self.obs,
         )
-        want_audit = config.audit if config.audit is not None else audit_enabled()
-        if want_audit:
-            from repro.lint.invariants import attach_auditor
-
-            attach_auditor(self.vm.guest, every=config.audit_every)
-            # The host auditor carries the hypervisor so sampled audits
-            # (and every exchange hypercall) verify pv bijectivity.  The
-            # host system runs bare (no obs of its own), so its audit
-            # counters are routed into this run's registry.
-            attach_auditor(
-                self.vm.host,
-                every=config.audit_every,
-                hypervisor=self.vm.hypervisor,
-                obs=self.obs,
-            )
+        self.obs.attach(self.vm.guest)
+        # The host auditor carries the hypervisor so sampled audits (and
+        # every exchange hypercall) verify pv bijectivity.
+        self.obs.attach(self.vm.host, hypervisor=self.vm.hypervisor)
 
     def run(self) -> RunMetrics:
         cfg = self.config
-        scraper = attach_telemetry(self.obs, cfg)
+        self.obs.start_scrape()
         if cfg.guest_fragmented:
             self.vm.guest.fragment(**cfg.fragment_kwargs)
         process = self.vm.create_guest_process(cfg.workload)
@@ -634,20 +408,7 @@ class VirtRunner:
             host_exposure / metrics.daemon_exposure
         )
         metrics.policy = self._label()
-        for system in (self.vm.guest, self.vm.host):
-            if system.auditor is not None:
-                system.auditor.audit()  # final audit: every run gets >= 1
-        if self.obs.timeline is not None:
-            self.obs.timeline.sample()  # closing sample at end-of-run state
-        if scraper is not None:
-            scraper.close()  # final frame at end-of-run state
-        emit_metrics_json(
-            self.obs,
-            metrics,
-            cfg.metrics_out,
-            auditors=(self.vm.guest.auditor, self.vm.host.auditor),
-        )
-        export_timeline_artifacts(self.obs, metrics, cfg)
+        self.obs.finish(_metrics_run_section(metrics))
         return metrics
 
     def _settle_uncapped(self, total_ns: float) -> None:
@@ -663,7 +424,7 @@ class VirtRunner:
             if tick % 10 == 0:
                 self.vm.host.run_daemons(1e9)
             now = (dict(stats.promoted), dict(stats.demoted))
-            throttled = getattr(guest.policy, "_debt_ns", 0.0) > 0.0
+            throttled = guest.policy.throttled
             quiet = quiet + 1 if (now == last and not throttled) else 0
             last = now
             if quiet >= 5:

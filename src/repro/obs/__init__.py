@@ -13,9 +13,18 @@ latency attribution, and an optional :class:`TimelineSampler` snapshotting
 gauges at a fixed simulated cadence.  See ``docs/observability.md`` for
 the event schema, metric names, the clock-advancement discipline and
 overhead notes, and ``repro metrics`` for the live catalog.
+
+The bundle also owns the run lifecycle every driver shares: built from
+an :class:`~repro.obs.options.ObsOptions` by
+:meth:`Observability.from_options`, it attaches invariant auditors
+(:meth:`~Observability.attach`), starts the telemetry scrape stream
+(:meth:`~Observability.start_scrape`) and closes the run out with
+:meth:`~Observability.finish`.
 """
 
 from __future__ import annotations
+
+import os
 
 from repro.obs.clock import SimClock
 from repro.obs.metrics import (
@@ -30,6 +39,7 @@ from repro.obs.metrics import (
     percentile_from_buckets,
     render_key,
 )
+from repro.obs.options import ObsOptions, claim_drop_path
 from repro.obs.spans import NULL_SPAN, Span, SpanRecorder
 from repro.obs.timeline import TimelineSampler, TimeSeries
 from repro.obs.trace import RESERVED_FIELDS, SUBSYSTEMS, Tracer
@@ -41,6 +51,7 @@ __all__ = [
     "MetricsRegistry",
     "Tracer",
     "Observability",
+    "ObsOptions",
     "SimClock",
     "Span",
     "SpanRecorder",
@@ -92,6 +103,145 @@ class Observability:
                 max_points=timeline_max_points,
                 metrics=self.metrics,
             )
+        self.options = ObsOptions()
+        #: invariant auditors of the attached systems, in attach order
+        self.auditors: list = []
+        #: the telemetry scrape stream, once started
+        self.scraper = None
+        #: the alert engine evaluated per scrape frame, when rules were given
+        self.alerts = None
+
+    @classmethod
+    def from_options(cls, options: ObsOptions) -> Observability:
+        """The bundle ``options`` ask for: trace ring and timeline.
+
+        ``timeline_out``/``report_out`` imply the timeline.
+        """
+        subsystems: tuple[str, ...] | str = ()
+        if options.trace_enabled:
+            subsystems = options.trace_subsystems or "all"
+        obs = cls(
+            trace_subsystems=subsystems,
+            trace_capacity=options.trace_capacity,
+            timeline=options.timeline_on,
+        )
+        obs.options = options
+        return obs
+
+    def attach(self, system, hypervisor=None) -> None:
+        """Audit ``system`` when the options ask for it.
+
+        Attached systems get a sampled auditor now and a final audit in
+        :meth:`finish`; the audit counters land in this bundle's registry
+        even for a system that runs bare (the host of a virtualized run,
+        whose auditor also gets the ``hypervisor`` for pv bijectivity).
+        """
+        if not self.options.audit:
+            return
+        from repro.lint.invariants import attach_auditor
+
+        self.auditors.append(
+            attach_auditor(
+                system,
+                every=self.options.audit_every,
+                hypervisor=hypervisor,
+                obs=self,
+            )
+        )
+
+    def start_scrape(self, alerts_path: str | None = None) -> None:
+        """Start the scrape stream to ``options.telemetry_out``, if set.
+
+        One Prometheus-text frame per ``telemetry_interval_ms`` of
+        simulated time from here on; with ``alerts_path``, an
+        :class:`~repro.obs.telemetry.AlertEngine` evaluates those rules
+        on every frame.
+        """
+        if not self.options.telemetry_out:
+            return
+        from repro.obs.telemetry import (
+            AlertEngine,
+            ScrapeFileSink,
+            TelemetryScraper,
+            load_alert_rules,
+        )
+
+        if alerts_path:
+            self.alerts = AlertEngine(
+                load_alert_rules(alerts_path),
+                tracer=self.tracer,
+                metrics=self.metrics,
+            )
+        self.scraper = TelemetryScraper(
+            self.clock,
+            self.metrics,
+            ScrapeFileSink(self.options.telemetry_out),
+            interval_ms=self.options.telemetry_interval_ms,
+            alert_engine=self.alerts,
+        )
+
+    def finish(self, run: dict | None = None) -> str | None:
+        """Close the run out; returns the ``metrics.json`` path written.
+
+        In order: a final audit of every attached system (so every run
+        gets at least one), a closing timeline sample and a final scrape
+        frame at end-of-run state, ``metrics.json`` (with ``run`` as its
+        ``run`` section, plus the audit totals) to ``metrics_out`` or
+        dropped into ``metrics_dir``, then the Chrome trace and HTML
+        report.  ``run`` carries ``workload`` and ``policy``, which name
+        the drop and title the report; without it no ``metrics.json`` is
+        written.
+        """
+        for auditor in self.auditors:
+            auditor.audit()
+        if self.timeline is not None:
+            self.timeline.sample()
+        if self.scraper is not None:
+            self.scraper.close()
+        path = self._write_run_metrics(run) if run is not None else None
+        title = f"{run['workload']} / {run['policy']}" if run is not None else "run"
+        self._export_timeline(title)
+        return path
+
+    def _write_run_metrics(self, run: dict) -> str | None:
+        options = self.options
+        path = options.metrics_out
+        if path is None and options.metrics_dir:
+            path = claim_drop_path(
+                options.metrics_dir, f"metrics_{run['workload']}_{run['policy']}"
+            )
+        if path is None:
+            return None
+        _make_parent(path)
+        section = dict(run)
+        if self.auditors:
+            section["audit_runs"] = sum(a.audits for a in self.auditors)
+            section["audit_checks"] = sum(a.checks for a in self.auditors)
+            section["audit_violations"] = sum(
+                a.violations for a in self.auditors
+            )
+        return self.write_metrics_json(path, extra={"run": section})
+
+    def _export_timeline(self, title: str) -> None:
+        timeline_out = self.options.timeline_out
+        report_out = self.options.report_out
+        if timeline_out:
+            from repro.obs.export import write_chrome_trace
+
+            _make_parent(timeline_out)
+            write_chrome_trace(
+                timeline_out,
+                tracer=self.tracer,
+                timeline=self.timeline,
+                clock=self.clock,
+            )
+        if report_out:
+            from repro.obs.report import write_report
+
+            _make_parent(report_out)
+            data = self.metrics.snapshot()
+            data["timeline"] = self.timeline_export()
+            write_report(report_out, [(title, data)], title=title)
 
     def timeline_export(self) -> dict:
         """The ``timeline`` section embedded in ``metrics.json``."""
@@ -111,6 +261,12 @@ class Observability:
         if extra:
             sections.update(extra)
         return self.metrics.write_json(path, extra=sections)
+
+
+def _make_parent(path: str) -> None:
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
 
 
 #: (name, kind, labels, description) for every permanently instrumented

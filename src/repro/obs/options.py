@@ -1,37 +1,46 @@
-"""Unified observability options shared by ``run``, ``experiment``, ``sweep``.
+"""Unified observability options shared by every driver and CLI command.
 
-Historically each CLI command declared its own subset of observability
-flags (``--trace``, ``--metrics-out``, ``--audit``, ``--timeline``,
-``--timeline-out``, ``--report-out``) and threaded them into
-:class:`repro.experiments.runner.RunConfig` by hand, so the flag surfaces
-drifted.  :class:`ObsOptions` is the one source of truth: every command
-registers its flags through :func:`add_obs_args`, parses them back with
-:func:`obs_options_from_args`, and hands runners the exact ``RunConfig``
-fields via :meth:`ObsOptions.run_kwargs`.
+:class:`ObsOptions` is the one observability configuration: every
+command registers its flags through :func:`add_obs_args` and parses them
+back with :func:`obs_options_from_args`; the runners carry it as their
+``RunConfig.obs`` / ``VirtRunConfig.obs`` field, and
+:meth:`repro.obs.Observability.from_options` turns it into the run's
+instrumentation bundle.
 
 Scopes
 ------
 
 ``run``
     The full surface: tracing (ring buffer, subsystem filter, capacity,
-    JSONL export), metrics snapshot, invariant auditing, and the
-    simulated-time timeline with its Chrome-trace / HTML exports.
+    JSONL export), metrics snapshot, invariant auditing, the
+    simulated-time timeline with its Chrome-trace / HTML exports, and the
+    telemetry scrape stream.
 ``experiment`` / ``sweep``
     The ambient toggles that make sense across many runs: ``--audit``
     and ``--timeline``.  (Their output *paths* stay per-command —
-    experiments write per-run files into a directory, sweeps into their
-    ``--out`` tree.)
+    experiments drop per-run files into :attr:`ObsOptions.metrics_dir`,
+    sweeps into their ``--out`` tree.)
+
+Ambient options
+---------------
+
+Experiment modules keep a ``main(quick, seed)`` signature, so their runs
+cannot be handed options directly.  ``RunConfig.obs`` therefore defaults
+to :func:`ambient_options`, which ``repro experiment`` and each sweep
+worker install for the duration of their runs with :func:`ambient`.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
+import contextlib
+import os
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
 class ObsOptions:
-    """Parsed observability selections for one CLI invocation."""
+    """Parsed observability selections for one run or CLI invocation."""
 
     #: record structured events in the bounded ring buffer
     trace: bool = False
@@ -43,6 +52,9 @@ class ObsOptions:
     trace_out: str | None = None
     #: write the metrics registry snapshot here as JSON
     metrics_out: str | None = None
+    #: without :attr:`metrics_out`, drop one
+    #: ``metrics_<workload>_<policy>.json`` per run into this directory
+    metrics_dir: str | None = None
     #: attach a sampled invariant auditor (``repro.lint.invariants``)
     audit: bool = False
     #: buddy events between sampled audits (smaller = tighter, slower)
@@ -63,29 +75,61 @@ class ObsOptions:
         """Tracing is on — requested directly or implied by an export path."""
         return self.trace or self.trace_out is not None
 
-    def run_kwargs(self, primary: bool = True) -> dict:
-        """The observability fields of a ``RunConfig``/``VirtRunConfig``.
+    @property
+    def timeline_on(self) -> bool:
+        """The timeline is on — requested directly or implied by an export."""
+        return self.timeline or bool(self.timeline_out or self.report_out)
 
-        ``primary=False`` is for companion runs (e.g. ``--baseline``):
-        ambient toggles still apply, but per-run artifacts (trace buffer,
-        metrics snapshot, timeline exports) belong to the primary run
-        only.  ``audit``/``timeline`` map to ``None`` when their flag is
-        off so the runner's ambient ``audit_enabled()``/
-        ``timeline_enabled()`` defaults still get a say.
+    def companion(self) -> ObsOptions:
+        """These options for a companion run (e.g. ``repro run --baseline``).
+
+        Ambient toggles (audit, timeline, the metrics drop directory)
+        still apply; the trace buffer and the per-run artifact paths
+        belong to the primary run only.
         """
-        return dict(
-            trace=self.trace_enabled and primary,
-            trace_subsystems=self.trace_subsystems,
-            trace_capacity=self.trace_capacity,
-            metrics_out=self.metrics_out if primary else None,
-            audit=self.audit or None,
-            audit_every=self.audit_every,
-            timeline=self.timeline or None,
-            timeline_out=self.timeline_out if primary else None,
-            report_out=self.report_out if primary else None,
-            telemetry_out=self.telemetry_out if primary else None,
-            telemetry_interval_ms=self.telemetry_interval_ms,
+        return replace(
+            self,
+            trace=False,
+            trace_out=None,
+            metrics_out=None,
+            timeline_out=None,
+            report_out=None,
+            telemetry_out=None,
         )
+
+
+_ambient = ObsOptions()
+#: drop paths handed out under the current ambient options -> times used
+_drops: dict[str, int] = {}
+
+
+def ambient_options() -> ObsOptions:
+    """The options a run uses when its config names none."""
+    return _ambient
+
+
+@contextlib.contextmanager
+def ambient(options: ObsOptions):
+    """Make ``options`` the ambient default for the block, then restore."""
+    global _ambient, _drops
+    saved = _ambient, _drops
+    _ambient, _drops = options, {}
+    try:
+        yield options
+    finally:
+        _ambient, _drops = saved
+
+
+def claim_drop_path(directory: str, stem: str) -> str:
+    """``directory/stem.json``, suffixed ``-2``, ``-3``, ... on reuse.
+
+    Runs that repeat a (workload, policy) pair within one ambient scope
+    keep every drop: the first run gets the plain name, later ones a
+    suffix in run order, so names that never collide are unchanged.
+    """
+    path = os.path.join(directory, stem.replace("/", "_"))
+    uses = _drops[path] = _drops.get(path, 0) + 1
+    return f"{path}.json" if uses == 1 else f"{path}-{uses}.json"
 
 
 def add_obs_args(

@@ -26,7 +26,6 @@ order, never completion order.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -34,10 +33,15 @@ import numpy as np
 
 from repro.config import FREQ_GHZ, default_machine
 from repro.experiments.configs import policy_factory, resolve_policy
-from repro.experiments.orchestrator import UnitSpec, derive_seed, execute_units
+from repro.experiments.orchestrator import (
+    RECORD_TARGET,
+    UnitSpec,
+    derive_seed,
+    run_record_units,
+)
 from repro.experiments.runner import _WorkloadAPI
 from repro.mem.numa import NumaTopology
-from repro.obs import Observability
+from repro.obs import Observability, ObsOptions
 from repro.service.arrivals import (
     closed_loop_count,
     poisson_arrivals,
@@ -46,8 +50,8 @@ from repro.service.arrivals import (
 from repro.sim.system import System
 from repro.workloads.registry import get_workload
 
-#: worker target resolved by the orchestrator's process pool
-CELL_TARGET = "repro.service.fleet:run_service_cell_unit"
+#: the record function each fleet unit runs in a pool worker
+CELL_TARGET = "repro.service.fleet:run_service_cell"
 
 #: latency histogram bounds: a 1-2-5 ladder from 1us to 5s in ns, wide
 #: enough for sub-SLO request latencies and deep-saturation queueing alike
@@ -167,7 +171,14 @@ def run_service_cell(
         nodes=numa_nodes, remote_multiplier=numa_remote_multiplier
     )
     regions += (-regions) % numa.nodes  # whole regions per node
-    obs = Observability(timeline=timeline)
+    obs = Observability.from_options(
+        ObsOptions(
+            timeline=timeline,
+            timeline_out=trace_out,
+            telemetry_out=telemetry_out,
+            telemetry_interval_ms=telemetry_interval_ms,
+        )
+    )
     system = System(
         default_machine(regions),
         policy_factory(policy),
@@ -227,29 +238,7 @@ def run_service_cell(
         )
 
     # -- telemetry: scrape frames + per-frame alert evaluation --------------
-    scraper = None
-    engine = None
-    if telemetry_out:
-        from repro.obs.telemetry import (
-            AlertEngine,
-            ScrapeFileSink,
-            TelemetryScraper,
-            load_alert_rules,
-        )
-
-        if alerts_path:
-            engine = AlertEngine(
-                load_alert_rules(alerts_path),
-                tracer=obs.tracer,
-                metrics=metrics,
-            )
-        scraper = TelemetryScraper(
-            obs.clock,
-            metrics,
-            ScrapeFileSink(telemetry_out),
-            interval_ms=telemetry_interval_ms,
-            alert_engine=engine,
-        )
+    obs.start_scrape(alerts_path)
 
     # -- request replay: FIFO queue over the simulated clock ----------------
     clock = obs.clock
@@ -308,19 +297,7 @@ def run_service_cell(
             progress["depth"] = max(0.0, arrived - progress["completed"])
         g_completed.value = float(progress["completed"])
         g_depth.value = progress["depth"]
-    if obs.timeline is not None:
-        obs.timeline.sample()  # closing sample at end-of-run state
-    if scraper is not None:
-        scraper.close()  # final frame at end-of-run state
-    if trace_out:
-        from repro.obs.export import write_chrome_trace
-
-        parent = os.path.dirname(trace_out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        write_chrome_trace(
-            trace_out, tracer=obs.tracer, timeline=obs.timeline, clock=clock
-        )
+    obs.finish()
 
     busy_ns = prev_completion - epoch_ns
     numa_section = None
@@ -349,10 +326,10 @@ def run_service_cell(
         "tenant": tenant,
         "mode": mode,
         **({"numa": numa_section} if numa_section is not None else {}),
-        **({"alerts": engine.export()} if engine is not None else {}),
+        **({"alerts": obs.alerts.export()} if obs.alerts is not None else {}),
         **(
-            {"telemetry_frames": scraper.frames}
-            if scraper is not None
+            {"telemetry_frames": obs.scraper.frames}
+            if obs.scraper is not None
             else {}
         ),
         "rate_rps": rate_rps,
@@ -371,16 +348,6 @@ def run_service_cell(
     }
 
 
-def run_service_cell_unit(out_path: str, **kwargs) -> dict:
-    """Worker target: run one cell, persist its record, report outputs."""
-    record = run_service_cell(**kwargs)
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    with open(out_path, "w") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return {"outputs": [out_path]}
-
-
 def build_cell_specs(config: ServiceConfig) -> list:
     """One :class:`UnitSpec` per (tenant, cell), seeds derived per cell id."""
     specs: list[UnitSpec] = []
@@ -389,6 +356,7 @@ def build_cell_specs(config: ServiceConfig) -> list:
         slug = _cell_slug(unit_id)
         seed = derive_seed(config.seed, unit_id)
         kwargs = {
+            "record_target": CELL_TARGET,
             "workload": tenant.workload,
             "policy": tenant.policy,
             "tenant": index,
@@ -435,7 +403,7 @@ def build_cell_specs(config: ServiceConfig) -> list:
         specs.append(
             UnitSpec(
                 unit_id=unit_id,
-                target=CELL_TARGET,
+                target=RECORD_TARGET,
                 kwargs=kwargs,
                 seed=seed,
                 timeout_s=config.timeout_s,
@@ -462,22 +430,9 @@ def run_fleet(config: ServiceConfig, progress=None) -> dict:
     )
     os.makedirs(config.out_dir, exist_ok=True)
     specs = build_cell_specs(config)
-    results = execute_units(specs, jobs=config.jobs, progress=progress)
-    failed = [
-        f"{unit_id} ({results[unit_id].status}: {results[unit_id].error})"
-        for unit_id in sorted(results)
-        if results[unit_id].status != "ok"
-    ]
-    if failed:
-        raise RuntimeError(
-            f"{len(failed)} service cell(s) failed: " + "; ".join(failed)
-        )
-    # Merge in canonical spec order (never completion order) from the
-    # JSON records on disk, so jobs=1 and jobs=N compile identical input.
-    records = []
-    for unit_spec in specs:
-        with open(unit_spec.kwargs["out_path"]) as f:
-            records.append(json.load(f))
+    records = run_record_units(
+        specs, "service cell", jobs=config.jobs, progress=progress
+    )
     report = build_service_report(config, records)
     if any("alerts" in record for record in records):
         from repro.obs.telemetry import AlertLog

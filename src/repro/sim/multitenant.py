@@ -38,13 +38,18 @@ import numpy as np
 
 from repro.config import default_machine
 from repro.experiments.configs import policy_factory, resolve_policy
-from repro.experiments.orchestrator import UnitSpec, derive_seed, execute_units
+from repro.experiments.orchestrator import (
+    RECORD_TARGET,
+    UnitSpec,
+    derive_seed,
+    run_record_units,
+)
 from repro.mem.numa import NumaTopology
-from repro.obs import Observability
+from repro.obs import Observability, ObsOptions
 from repro.sim.system import System
 
-#: worker target resolved by the orchestrator's process pool
-SHARD_TARGET = "repro.sim.multitenant:run_shard_unit"
+#: the record function each shard unit runs in a pool worker
+SHARD_TARGET = "repro.sim.multitenant:run_shard"
 
 
 @dataclass
@@ -85,7 +90,12 @@ def shard_tenants(config: MultiTenantConfig, shard: int) -> list[int]:
 
 
 class MultiTenantMachine:
-    """One shard: many tenant processes sharing one (NUMA) ``System``."""
+    """One shard: many tenant processes sharing one (NUMA) ``System``.
+
+    ``obs`` selects the shard's instrumentation: ``audit`` attaches a
+    sampled auditor at boot, ``telemetry_out`` starts the scrape stream
+    once every tenant process exists, and :meth:`run` closes both out.
+    """
 
     #: warn-once keys for oversubscribed shards (cleared by tests via
     #: :meth:`reset_warned`, mirroring ``TouchResult.reset_warned_sites``)
@@ -101,7 +111,7 @@ class MultiTenantMachine:
         pt_replication: bool = False,
         regions_per_tenant: float = 1.5,
         max_segments: int = 4,
-        audit: bool = False,
+        obs: ObsOptions | None = None,
     ) -> None:
         if not tenant_ids:
             raise ValueError("shard has no tenants")
@@ -115,18 +125,16 @@ class MultiTenantMachine:
         regions = max(nodes, int(len(tenant_ids) * regions_per_tenant) + 1)
         regions += (-regions) % nodes  # whole regions per node
         machine = default_machine(regions)
+        self.obs = Observability.from_options(obs or ObsOptions())
         self.system = System(
             machine,
             policy_factory(resolve_policy(policy)),
             seed=seed,
-            obs=Observability(),
+            obs=self.obs,
             numa=topology,
             pt_replication=pt_replication,
         )
-        if audit:
-            from repro.lint.invariants import attach_auditor
-
-            attach_auditor(self.system)
+        self.obs.attach(self.system)
         self.geometry = machine.geometry
         self._warn_if_oversubscribed(machine)
         self._churn_prob = 0.5
@@ -138,6 +146,7 @@ class MultiTenantMachine:
             )
             rng = np.random.default_rng(derive_seed(seed, f"tenant{tid}"))
             self._tenants[tid] = (process, rng, [])
+        self.obs.start_scrape()
 
     @classmethod
     def reset_warned(cls) -> None:
@@ -198,8 +207,7 @@ class MultiTenantMachine:
         for _ in range(rounds):
             self.run_round(accesses_per_round, churn_prob)
         self.system.settle(ticks=10)
-        if self.system.auditor is not None:
-            self.system.auditor.audit()
+        self.obs.finish()
         return self.record()
 
     # -- results ----------------------------------------------------------
@@ -278,6 +286,11 @@ def run_shard(
     the record itself is unchanged, so telemetry never perturbs the
     byte-determinism of the manifest.
     """
+    obs = ObsOptions(
+        audit=audit,
+        telemetry_out=telemetry_out,
+        telemetry_interval_ms=telemetry_interval_ms,
+    )
     machine = MultiTenantMachine(
         tenant_ids,
         policy=policy,
@@ -287,34 +300,11 @@ def run_shard(
         pt_replication=pt_replication,
         regions_per_tenant=regions_per_tenant,
         max_segments=max_segments,
-        audit=audit,
+        obs=obs,
     )
-    scraper = None
-    if telemetry_out:
-        from repro.obs.telemetry import ScrapeFileSink, TelemetryScraper
-
-        obs = machine.system.obs
-        scraper = TelemetryScraper(
-            obs.clock,
-            obs.metrics,
-            ScrapeFileSink(telemetry_out),
-            interval_ms=telemetry_interval_ms,
-        )
     record = machine.run(rounds, accesses_per_round, churn_prob)
-    if scraper is not None:
-        scraper.close()
     record["shard"] = shard
     return record
-
-
-def run_shard_unit(out_path: str, **kwargs) -> dict:
-    """Worker target: run one shard, persist its record, report outputs."""
-    record = run_shard(**kwargs)
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    with open(out_path, "w") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return {"outputs": [out_path]}
 
 
 def build_shard_specs(config: MultiTenantConfig) -> list:
@@ -327,6 +317,7 @@ def build_shard_specs(config: MultiTenantConfig) -> list:
         unit_id = shard_id(config, shard)
         seed = derive_seed(config.seed, unit_id)
         kwargs = {
+            "record_target": SHARD_TARGET,
             "shard": shard,
             "tenant_ids": tenant_ids,
             "policy": config.policy,
@@ -357,7 +348,7 @@ def build_shard_specs(config: MultiTenantConfig) -> list:
         specs.append(
             UnitSpec(
                 unit_id=unit_id,
-                target=SHARD_TARGET,
+                target=RECORD_TARGET,
                 kwargs=kwargs,
                 seed=seed,
                 timeout_s=config.timeout_s,
@@ -383,20 +374,9 @@ def run_multi_tenant(config: MultiTenantConfig, progress=None) -> dict:
     )
     os.makedirs(config.out_dir, exist_ok=True)
     specs = build_shard_specs(config)
-    results = execute_units(specs, jobs=config.jobs, progress=progress)
-    failed = [
-        f"{unit_id} ({results[unit_id].status}: {results[unit_id].error})"
-        for unit_id in sorted(results)
-        if results[unit_id].status != "ok"
-    ]
-    if failed:
-        raise RuntimeError(
-            f"{len(failed)} tenant shard(s) failed: " + "; ".join(failed)
-        )
-    records = []
-    for spec in specs:
-        with open(spec.kwargs["out_path"]) as f:
-            records.append(json.load(f))
+    records = run_record_units(
+        specs, "tenant shard", jobs=config.jobs, progress=progress
+    )
     manifest = build_manifest(config, records)
     path = os.path.join(config.out_dir, "tenants_manifest.json")
     with open(path, "w") as f:

@@ -526,21 +526,26 @@ class System:
         max_ticks: int = 400,
         quiet_ticks: int = 5,
         budget_ns: float | None = None,
+        daemon_cap_ns: float | None = None,
     ) -> int:
         """Run daemons until promotion activity stops changing.
 
         Returns the number of ticks executed.  Used by the runner to reach
-        khugepaged's steady state regardless of footprint size.
+        khugepaged's steady state regardless of footprint size.  With
+        ``daemon_cap_ns``, no further tick starts once the policy's total
+        daemon CPU reaches the cap (the run's khugepaged allowance).
         """
         quiet = 0
         stats = self.policy.stats
         last = (dict(stats.promoted), dict(stats.demoted))
         for tick in range(max_ticks):
+            if daemon_cap_ns is not None and stats.daemon_ns >= daemon_cap_ns:
+                return tick
             self.run_daemons(budget_ns)
             now = (dict(stats.promoted), dict(stats.demoted))
             # A tick spent repaying CPU-cap debt is throttling, not
             # convergence: only debt-free idle ticks count as quiet.
-            throttled = getattr(self.policy, "_debt_ns", 0.0) > 0.0
+            throttled = self.policy.throttled
             quiet = quiet + 1 if (now == last and not throttled) else 0
             last = now
             if quiet >= quiet_ticks:

@@ -12,6 +12,7 @@ from repro.experiments.runner import (
     VirtRunner,
 )
 from repro.lint.invariants import InvariantViolation
+from repro.obs.options import ObsOptions
 
 
 class TestNativeRunnerAudit:
@@ -23,9 +24,7 @@ class TestNativeRunnerAudit:
                 "Trident",
                 n_accesses=1500,
                 seed=7,
-                audit=True,
-                audit_every=256,
-                metrics_out=out,
+                obs=ObsOptions(audit=True, audit_every=256, metrics_out=out),
             )
         )
         runner.run()
@@ -48,7 +47,10 @@ class TestNativeRunnerAudit:
     def test_selftest_injection_surfaces(self, monkeypatch):
         monkeypatch.setenv("REPRO_AUDIT_SELFTEST", "1")
         runner = NativeRunner(
-            RunConfig("GUPS", "Trident", n_accesses=500, seed=7, audit=True)
+            RunConfig(
+                "GUPS", "Trident", n_accesses=500, seed=7,
+                obs=ObsOptions(audit=True),
+            )
         )
         with pytest.raises(InvariantViolation, match="self-test"):
             runner.run()
@@ -65,8 +67,7 @@ class TestVirtRunnerAudit:
                 pv=True,
                 n_accesses=1500,
                 seed=7,
-                audit=True,
-                audit_every=512,
+                obs=ObsOptions(audit=True, audit_every=512),
             )
         )
         runner.run()
@@ -89,7 +90,7 @@ class TestVirtRunnerAudit:
                 pv=True,
                 n_accesses=800,
                 seed=7,
-                audit=True,
+                obs=ObsOptions(audit=True),
             )
         )
         runner.run()
@@ -128,6 +129,10 @@ class TestSweepAudit:
         assert summary["totals"]["audit_runs"] >= 1
         assert summary["totals"]["audit_checks"] > 0
         assert summary["totals"]["audit_violations"] == 0
+        # GUPS x unfragmented/fragmented x 3 mechanisms: six runs, six drops
+        (unit,) = manifest["units"]
+        assert len(unit["metrics"]) == 6
+        assert summary["files"] == 6
 
     def test_audit_failures_surface_as_unit_failures(
         self, tmp_path, monkeypatch

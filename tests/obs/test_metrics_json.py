@@ -9,6 +9,7 @@ import json
 
 from repro.cli import main
 from repro.experiments.runner import NativeRunner, RunConfig
+from repro.obs.options import ObsOptions, ambient, ambient_options
 
 
 class TestMetricsJsonMatchesRunMetrics:
@@ -20,7 +21,7 @@ class TestMetricsJsonMatchesRunMetrics:
                 "Trident",
                 n_accesses=3000,
                 fragmented=True,
-                metrics_out=path,
+                obs=ObsOptions(metrics_out=path),
             )
         )
         metrics = runner.run()
@@ -56,7 +57,10 @@ class TestMetricsJsonMatchesRunMetrics:
     def test_tlb_totals_agree_with_translation_stats(self, tmp_path):
         path = str(tmp_path / "metrics.json")
         runner = NativeRunner(
-            RunConfig("GUPS", "Trident", n_accesses=3000, metrics_out=path)
+            RunConfig(
+                "GUPS", "Trident", n_accesses=3000,
+                obs=ObsOptions(metrics_out=path),
+            )
         )
         metrics = runner.run()
         counters = json.loads(open(path).read())["counters"]
@@ -117,27 +121,61 @@ class TestObservabilityCLI:
 
     def test_metrics_dir_drop(self, tmp_path):
         """``repro experiment --metrics-out DIR`` routes every runner's
-        metrics.json into DIR via the module-level METRICS_DIR switch."""
+        metrics.json into DIR via the ambient options."""
         import os
-
-        import repro.experiments.runner as runner_mod
 
         out_dir = str(tmp_path / "metrics")
         os.makedirs(out_dir)
-        runner_mod.METRICS_DIR = out_dir
-        try:
+        with ambient(ObsOptions(metrics_dir=out_dir)):
             NativeRunner(RunConfig("GUPS", "Trident", n_accesses=2000)).run()
-        finally:
-            runner_mod.METRICS_DIR = None
         written = os.listdir(out_dir)
         assert written == ["metrics_GUPS_Trident.json"]
         sample = json.loads(open(os.path.join(out_dir, written[0])).read())
         assert "counters" in sample and "run" in sample
 
-    def test_experiment_flag_resets_metrics_dir(self, capsys, tmp_path):
-        import repro.experiments.runner as runner_mod
+    def test_repeated_pairs_get_run_order_suffixes(self, tmp_path):
+        """Runs repeating a (workload, policy) pair keep every drop."""
+        import os
+
+        out_dir = str(tmp_path / "metrics")
+        with ambient(ObsOptions(metrics_dir=out_dir)):
+            for accesses in (1000, 2000, 3000):
+                NativeRunner(
+                    RunConfig("GUPS", "Trident", n_accesses=accesses)
+                ).run()
+        assert sorted(os.listdir(out_dir)) == [
+            "metrics_GUPS_Trident-2.json",
+            "metrics_GUPS_Trident-3.json",
+            "metrics_GUPS_Trident.json",
+        ]
+        accesses = [
+            json.load(open(os.path.join(out_dir, name)))["run"]["accesses"]
+            for name in (
+                "metrics_GUPS_Trident.json",
+                "metrics_GUPS_Trident-2.json",
+                "metrics_GUPS_Trident-3.json",
+            )
+        ]
+        assert accesses == [1000, 2000, 3000]
+
+    def test_extension_5level_quick_keeps_all_four_drops(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Two walk depths x two policies: four runs, four files."""
+        import os
+
+        monkeypatch.chdir(tmp_path)  # the experiment's CSV lands in report/
 
         out_dir = str(tmp_path / "drop")
-        # Even when the experiment itself fails, the switch is restored.
+        args = ["experiment", "extension_5level", "--quick"]
+        assert main(args + ["--metrics-out", out_dir]) == 0
+        assert len(os.listdir(out_dir)) == 4
+        # a second invocation into the same directory reuses the names
+        assert main(args + ["--metrics-out", out_dir]) == 0
+        assert len(os.listdir(out_dir)) == 4
+
+    def test_experiment_flag_resets_metrics_dir(self, capsys, tmp_path):
+        out_dir = str(tmp_path / "drop")
+        # Even when the experiment itself fails, the ambient is restored.
         assert main(["experiment", "nope", "--metrics-out", out_dir]) == 2
-        assert runner_mod.METRICS_DIR is None
+        assert ambient_options() == ObsOptions()

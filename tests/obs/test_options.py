@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import os
 
 import pytest
 
-from repro.obs.options import ObsOptions, add_obs_args, obs_options_from_args
+from repro.obs.options import (
+    ObsOptions,
+    add_obs_args,
+    ambient,
+    ambient_options,
+    claim_drop_path,
+    obs_options_from_args,
+)
 
 
 def _parse(scope: str, argv: list[str]) -> argparse.Namespace:
@@ -73,37 +81,60 @@ def test_trace_out_implies_trace():
     opts = ObsOptions(trace_out="t.jsonl")
     assert not opts.trace
     assert opts.trace_enabled
-    assert opts.run_kwargs()["trace"] is True
 
 
-def test_run_kwargs_primary_vs_companion():
+def test_timeline_exports_imply_timeline():
+    assert not ObsOptions().timeline_on
+    assert ObsOptions(timeline=True).timeline_on
+    assert ObsOptions(timeline_out="tl.json").timeline_on
+    assert ObsOptions(report_out="r.html").timeline_on
+
+
+def test_companion_drops_trace_and_per_run_artifacts():
     opts = ObsOptions(
         trace=True,
+        trace_out="t.jsonl",
         metrics_out="m.json",
+        metrics_dir="drops",
         audit=True,
         timeline=True,
         timeline_out="tl.json",
         report_out="r.html",
+        telemetry_out="t.prom",
     )
-    primary = opts.run_kwargs(primary=True)
-    assert primary["trace"] is True
-    assert primary["metrics_out"] == "m.json"
-    assert primary["timeline_out"] == "tl.json"
-    assert primary["report_out"] == "r.html"
-    companion = opts.run_kwargs(primary=False)
+    companion = opts.companion()
     # ambient toggles still apply to companion (e.g. --baseline) runs...
-    assert companion["audit"] is True
-    assert companion["timeline"] is True
-    # ...but per-run artifacts belong to the primary run only
-    assert companion["trace"] is False
-    assert companion["metrics_out"] is None
-    assert companion["timeline_out"] is None
-    assert companion["report_out"] is None
+    assert companion.audit is True
+    assert companion.timeline_on is True
+    assert companion.metrics_dir == "drops"
+    # ...but the trace and per-run artifacts belong to the primary run only
+    assert not companion.trace_enabled
+    assert companion.metrics_out is None
+    assert companion.timeline_out is None
+    assert companion.report_out is None
+    assert companion.telemetry_out is None
+    assert companion == ObsOptions(metrics_dir="drops", audit=True, timeline=True)
 
 
-def test_off_toggles_defer_to_ambient_defaults():
-    """audit/timeline map to None when off so the runner's ambient
-    audit_enabled()/timeline_enabled() defaults still get a say."""
-    kwargs = ObsOptions().run_kwargs()
-    assert kwargs["audit"] is None
-    assert kwargs["timeline"] is None
+def test_ambient_context_installs_and_restores():
+    assert ambient_options() == ObsOptions()
+    inner = ObsOptions(audit=True, metrics_dir="drops")
+    with ambient(inner) as installed:
+        assert installed is inner
+        assert ambient_options() is inner
+        with ambient(ObsOptions(timeline=True)):
+            assert ambient_options().timeline
+        assert ambient_options() is inner
+    assert ambient_options() == ObsOptions()
+
+
+def test_drop_names_suffix_in_run_order():
+    with ambient(ObsOptions()):
+        names = [
+            os.path.basename(claim_drop_path("d", stem))
+            for stem in ("m_a", "m_b", "m_a", "m_a", "x/y")
+        ]
+    assert names == ["m_a.json", "m_b.json", "m_a-2.json", "m_a-3.json", "x_y.json"]
+    with ambient(ObsOptions()):
+        # a fresh ambient scope starts numbering again
+        assert claim_drop_path("d", "m_a") == os.path.join("d", "m_a.json")

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.experiments.runner import NativeRunner, RunConfig
+from repro.obs.options import ObsOptions
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +23,12 @@ def timeline_run(tmp_path_factory):
         fragmented=True,
         n_accesses=8_000,
         seed=7,
-        timeline=True,
-        timeline_out=str(out / "trace.json"),
-        report_out=str(out / "report.html"),
-        metrics_out=str(out / "metrics.json"),
+        obs=ObsOptions(
+            timeline=True,
+            timeline_out=str(out / "trace.json"),
+            report_out=str(out / "report.html"),
+            metrics_out=str(out / "metrics.json"),
+        ),
     )
     runner = NativeRunner(config)
     metrics = runner.run()

@@ -125,6 +125,16 @@ class TestFleetTelemetry:
         assert merged["firing"] == 1 and merged["resolved"] == 1
         assert report["alerts"] == {"firing": 1, "resolved": 1, "active": 0}
 
+    def test_cell_record_counts_every_streamed_frame(self, fleet_run):
+        _, config, _ = fleet_run
+        (text,) = _read_streams(config.out_dir).values()
+        cells = os.path.join(config.out_dir, "cells")
+        (name,) = os.listdir(cells)
+        with open(os.path.join(cells, name)) as f:
+            record = json.load(f)
+        # the closing frame is in the stream and in the record's count
+        assert record["telemetry_frames"] == len(list(iter_frames(text)))
+
     def test_alert_transitions_visible_in_stream(self, fleet_run):
         _, config, _ = fleet_run
         (text,) = _read_streams(config.out_dir).values()

@@ -5,6 +5,8 @@ import warnings
 
 import pytest
 
+from repro.obs.options import ObsOptions
+from repro.obs.telemetry.exposition import iter_frames
 from repro.sim.multitenant import (
     MultiTenantConfig,
     MultiTenantMachine,
@@ -210,3 +212,59 @@ class TestAuditedChurn:
         counters = machine["numa_counters"]
         assert counters["numa_replica_updates_total"] == machine["faults"]
         assert counters["numa_remote_walk_penalty_ns_total"] == 0
+
+
+class TestShardObservability:
+    def test_options_attach_audit_and_scrape(self, tmp_path):
+        stream = tmp_path / "shard.prom"
+        machine = MultiTenantMachine(
+            [0, 1, 2, 3],
+            seed=3,
+            numa_nodes=2,
+            obs=ObsOptions(
+                audit=True,
+                telemetry_out=str(stream),
+                telemetry_interval_ms=0.5,
+            ),
+        )
+        assert machine.system.obs is machine.obs
+        assert machine.obs.auditors == [machine.system.auditor]
+        assert machine.obs.scraper is not None
+        record = machine.run(rounds=2, accesses_per_round=200, churn_prob=0.5)
+        # run() closes out: a final audit and a final frame
+        assert record["machine"]["audit_runs"] >= 1
+        assert record["machine"]["audit_violations"] == 0
+        frames = list(iter_frames(stream.read_text()))
+        assert len(frames) == machine.obs.scraper.frames >= 1
+
+    def test_default_machine_runs_bare(self):
+        machine = MultiTenantMachine([0, 1], seed=3)
+        assert machine.system.auditor is None
+        assert machine.obs.scraper is None
+        record = machine.run(rounds=1, accesses_per_round=100, churn_prob=0.5)
+        assert "audit_runs" not in record["machine"]
+
+    def test_telemetry_leaves_the_record_unchanged(self, tmp_path):
+        kwargs = dict(
+            shard=0,
+            tenant_ids=[0, 2],
+            policy="Trident",
+            seed=9,
+            rounds=2,
+            accesses_per_round=200,
+            churn_prob=0.5,
+            max_segments=3,
+            regions_per_tenant=1.5,
+            numa_nodes=2,
+            numa_remote_multiplier=1.4,
+            pt_replication=False,
+            audit=True,
+        )
+        bare = run_shard(**kwargs)
+        scraped = run_shard(
+            **kwargs, telemetry_out=str(tmp_path / "s.prom"),
+            telemetry_interval_ms=0.5,
+        )
+        assert json.dumps(bare, sort_keys=True) == json.dumps(
+            scraped, sort_keys=True
+        )

@@ -245,10 +245,10 @@ class TestAuditCLI:
         assert section["audit_violations"] == 0
 
     def test_experiment_audit_resets_global(self, capsys):
-        import repro.experiments.runner as runner_mod
+        from repro.obs.options import ObsOptions, ambient_options
 
         assert main(["experiment", "latency_micro", "--quick", "--audit"]) == 0
-        assert runner_mod.AUDIT is False  # try/finally reset
+        assert ambient_options() == ObsOptions()  # context restored
 
 
 class TestTimelineCLI:
@@ -271,13 +271,13 @@ class TestTimelineCLI:
         assert json.load(open(metrics))["timeline"]["spans"]["spans_closed"] > 0
 
     def test_experiment_timeline_resets_global(self, capsys):
-        import repro.experiments.runner as runner_mod
+        from repro.obs.options import ObsOptions, ambient_options
 
         code = main(
             ["experiment", "latency_micro", "--quick", "--timeline"]
         )
         assert code == 0
-        assert runner_mod.TIMELINE is False  # try/finally reset
+        assert ambient_options() == ObsOptions()  # context restored
 
     def test_report_from_metrics_json(self, capsys, tmp_path):
         metrics = str(tmp_path / "m.json")

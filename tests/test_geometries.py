@@ -161,6 +161,41 @@ class TestPresets:
             process.pagetable.mapped_bytes(s) for s in g.all_levels
         ) == 4 << 20
 
+    def _three_level_toy(self, tmp_path) -> str:
+        import json
+        import os
+
+        toy = os.path.join(
+            os.path.dirname(__file__), "..", "examples", "toy_geometry.json"
+        )
+        with open(toy) as f:
+            spec = json.load(f)
+        spec["walk"]["levels_base"] = 3
+        path = tmp_path / "toy3.json"
+        path.write_text(json.dumps(spec))
+        return str(path)
+
+    def test_runner_keeps_a_custom_walk_depth(self, tmp_path):
+        from repro.experiments.runner import NativeRunner, RunConfig
+
+        geometry = self._three_level_toy(tmp_path)
+        runner = NativeRunner(
+            RunConfig("GUPS", "Trident", n_accesses=500, geometry_name=geometry)
+        )
+        assert runner.machine.walk.levels_base == 3
+        assert runner.system.machine.walk.levels_base == 3
+
+    def test_runner_walk_levels_overrides_the_geometry(self, tmp_path):
+        from repro.experiments.runner import NativeRunner, RunConfig
+
+        geometry = self._three_level_toy(tmp_path)
+        runner = NativeRunner(
+            RunConfig("GUPS", "Trident", geometry_name=geometry, walk_levels=5)
+        )
+        assert runner.machine.walk.levels_base == 5
+        default = NativeRunner(RunConfig("GUPS", "Trident"))
+        assert default.machine.walk.levels_base == 4
+
     def test_resolve_geometry_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown geometry"):
             resolve_geometry("no-such-geometry")
