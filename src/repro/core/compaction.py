@@ -247,18 +247,20 @@ class _CompactorBase:
         """(start_pfn, order, movable) of allocations inside ``region``."""
         start = self.regions.region_start(region)
         end = start + self.regions.frames_per_region
+        # Only an occupied frame can start a block.
+        occupied = np.flatnonzero(
+            self.buddy.frame_state[start:end] != FrameState.FREE
+        )
         blocks = []
-        pfn = start
-        state = self.buddy.frame_state
-        while pfn < end:
-            if state[pfn] == FrameState.FREE:
-                pfn += 1
-                continue
+        block_end = 0
+        for pfn in (occupied + start).tolist():
+            if pfn < block_end:
+                continue  # inside the previous block
             rec = self.buddy.allocation_at(pfn)
             assert rec is not None, f"frame {pfn} occupied but no block starts here"
             order, movable = rec
             blocks.append((pfn, order, movable))
-            pfn += 1 << order
+            block_end = pfn + (1 << order)
         return blocks
 
 

@@ -19,10 +19,7 @@ HawkEye remains a 2MB-only system: it never allocates 1GB pages.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.core.thp import THPPolicy
-from repro.vm.mappability import mappable_ranges
 
 
 class HawkEyePolicy(THPPolicy):
@@ -76,27 +73,29 @@ class HawkEyePolicy(THPPolicy):
         self.stats.daemon_ns += used
         return used
 
-    def _candidate_stream(self) -> Iterator[tuple]:
+    # -- prioritized khugepaged scan order -----------------------------------
+    def _scan_prefix(self) -> list[tuple]:
         """Hottest THP-level slots first, then the sequential remainder."""
-        geometry = self.kernel.geometry
-        thp = geometry.thp_level
+        thp = self.kernel.geometry.thp_level
         by_pid = {p.pid: p for p in self.kernel.processes}
         ranked = sorted(self._heat.items(), key=lambda kv: -kv[1])
-        seen: set[tuple[int, int]] = set()
-        for (pid, va), _ in ranked:
-            process = by_pid.get(pid)
-            if process is not None:
-                seen.add((pid, va))
-                self._demoted_slots.discard((pid, va))  # hot again: eligible
-                yield process, va, thp
+        return [
+            (by_pid[pid], va, thp) for (pid, va), _ in ranked if pid in by_pid
+        ]
+
+    def _reach_prefix(self, process, va: int) -> None:
+        self._demoted_slots.discard((process.pid, va))  # hot again: eligible
+
+    def _leave_prefix(self, prefix: list[tuple]):
         # Heat decays each pass so stale hot spots fade.
         self._heat = {k: v // 2 for k, v in self._heat.items() if v > 1}
-        for process in list(self.kernel.processes):
-            for vma in process.aspace.iter_extents():
-                for start, _ in mappable_ranges(vma, thp, geometry):
-                    key = (process.pid, start)
-                    if key not in seen and key not in self._demoted_slots:
-                        yield process, start, thp
+        seen = {(process.pid, va) for process, va, _ in prefix}
+
+        def excluded(process, va: int, size: int) -> bool:
+            key = (process.pid, va)
+            return key in seen or key in self._demoted_slots
+
+        return excluded
 
     # -- bloat recovery ----------------------------------------------------------
     def _bloat_recovery_tick(self, budget_ns: float) -> float:

@@ -17,16 +17,78 @@ removes.
 The promotion scanner here is deliberately reusable: Trident subclasses this
 policy and extends the same daemon with 1GB scanning (exactly how the real
 Trident extends khugepaged).
+
+The scanner is a cursor, like Linux khugepaged's per-mm scan position.  A
+pass snapshots the process list and walks each process's candidate slots
+in scan order (:meth:`THPPolicy._scan_slots`; Trident's is the Figure 5
+order).  Each process's list is cached and rebuilt only when its
+:attr:`~repro.vm.addrspace.AddressSpace.generation` moves (an mmap or
+munmap).  Next to the list sits one *known covered* flag per slot: set
+when a probe finds the slot's covering leaf already at least the slot's
+size, so later passes charge ``scan_slot_ns`` for it without probing.  The
+flags are reset whenever the process's
+:attr:`~repro.vm.pagetable.PageTable.nonbase_unmaps` counter moves —
+unmapping a leaf above the base level is the only way a covered slot can
+become uncovered, so mapping base pages needs no hook.  The counter is
+checked at tick start, on entering a process and after every real probe;
+a reset flag only costs a re-probe, so the skipping is bit-identical to
+probing every slot.  Only the covered verdict is cached: it is the first
+check of every THP-derived policy's probe and has no side effects.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable
 
 from repro.core.policy import MemoryPolicy
 from repro.vm.fault import candidate_page_sizes, region_fits_vma
 from repro.vm.mappability import mappable_ranges
 from repro.vm.pagetable import Mapping
+
+
+class _ProcessSlots:
+    """One process's scan-order candidate slots and known-covered flags."""
+
+    __slots__ = ("generation", "slots", "covered", "unmaps")
+
+    def __init__(self, generation: int, slots: list, unmaps: int) -> None:
+        #: the address-space generation the slots were built from
+        self.generation = generation
+        #: (va, level) candidates in scan order
+        self.slots = slots
+        #: 1 where the slot's covering leaf is known to be >= its level
+        self.covered = bytearray(len(slots))
+        #: the page table's non-base unmap count the flags are valid at
+        self.unmaps = unmaps
+
+    def revalidate(self, table) -> None:
+        """Forget every covered verdict if a non-base leaf was unmapped."""
+        if table.nonbase_unmaps != self.unmaps:
+            self.covered[:] = bytes(len(self.covered))
+            self.unmaps = table.nonbase_unmaps
+
+
+class _ScanPass:
+    """Cursor state of one khugepaged pass."""
+
+    __slots__ = (
+        "prefix", "prefix_i", "excluded", "processes", "process_i",
+        "process", "slots", "i",
+    )
+
+    def __init__(self, prefix: list) -> None:
+        #: (process, va, level) candidates scanned before the sequential
+        #: order (heat-ranked policies); always probed
+        self.prefix = prefix
+        self.prefix_i = 0
+        #: sequential-order exclusion test, fixed when the prefix is left
+        self.excluded: Callable | None = None
+        #: process snapshot, taken when the cursor leaves the prefix
+        self.processes: list | None = None
+        self.process_i = 0
+        self.process = None
+        self.slots: _ProcessSlots | None = None
+        self.i = 0
 
 
 class THPPolicy(MemoryPolicy):
@@ -50,7 +112,10 @@ class THPPolicy(MemoryPolicy):
             if defrag not in ("defer", "always"):
                 raise ValueError(f"unknown defrag mode {defrag!r}")
             self.defrag = defrag
-        self._stream: Iterator | None = None
+        #: the in-progress pass (None between passes)
+        self._pass: _ScanPass | None = None
+        #: cached candidate slots, keyed by process object
+        self._slot_cache: dict = {}
         #: CPU time overdrawn from previous ticks (a promotion or compaction
         #: can overshoot one quantum; a capped khugepaged must repay it
         #: before doing more work - how cgroup CPU caps behave)
@@ -104,14 +169,7 @@ class THPPolicy(MemoryPolicy):
             self._debt_ns = -budget_ns
             return 0.0
         self._debt_ns = 0.0
-        used = 0.0
-        while used < budget_ns:
-            candidate = self._next_candidate()
-            if candidate is None:
-                break
-            used += self.scan_slot_ns
-            process, va, size = candidate
-            used += self._try_promote(process, va, size, budget_ns - used)
+        used = self._scan(budget_ns)
         if used > budget_ns:
             self._debt_ns = used - budget_ns
         self.stats.daemon_ns += used
@@ -121,25 +179,117 @@ class THPPolicy(MemoryPolicy):
     def throttled(self) -> bool:
         return self._debt_ns > 0.0
 
-    def _next_candidate(self) -> tuple | None:
-        """Next (process, va, size) from the scan stream; None ends the tick."""
-        if self._stream is None:
-            self._stream = self._candidate_stream()
-        try:
-            return next(self._stream)
-        except StopIteration:
-            self._stream = None  # full pass complete; resume next tick
-            return None
+    def _scan(self, budget_ns: float) -> float:
+        """Advance the scan cursor until the budget is spent or the pass
+        ends (a finished pass ends the tick; the next tick starts another).
 
-    def _candidate_stream(self) -> Iterator[tuple]:
-        """One full scanning pass over every process's address space."""
-        thp = self.kernel.geometry.thp_level
-        for process in list(self.kernel.processes):
-            for vma in process.aspace.iter_extents():
-                for start, _ in mappable_ranges(
-                    vma, thp, self.kernel.geometry
-                ):
-                    yield process, start, thp
+        Every candidate reached costs ``scan_slot_ns``; slots known to be
+        covered cost only that, added one at a time so the float sums
+        match a probe of every slot.  Returns ns used.
+        """
+        slot_ns = self.scan_slot_ns
+        used = 0.0
+        scan = self._pass
+        if scan is not None and scan.slots is not None:
+            scan.slots.revalidate(scan.process.pagetable)
+        while used < budget_ns:
+            if scan is None:
+                scan = self._pass = _ScanPass(self._scan_prefix())
+            if scan.processes is None:
+                if scan.prefix_i < len(scan.prefix):
+                    process, va, size = scan.prefix[scan.prefix_i]
+                    scan.prefix_i += 1
+                    self._reach_prefix(process, va)
+                    used += slot_ns
+                    used += self._try_promote(
+                        process, va, size, budget_ns - used
+                    )
+                    continue
+                scan.excluded = self._leave_prefix(scan.prefix)
+                scan.processes = list(self.kernel.processes)
+                live = set(scan.processes)
+                self._slot_cache = {
+                    p: v for p, v in self._slot_cache.items() if p in live
+                }
+            entry = scan.slots
+            if entry is None or scan.i >= len(entry.slots):
+                if scan.process_i == len(scan.processes):
+                    self._pass = None
+                    break
+                scan.process = scan.processes[scan.process_i]
+                scan.process_i += 1
+                scan.slots = self._process_slots(scan.process)
+                scan.i = 0
+                continue
+            i = scan.i
+            covered = entry.covered
+            if scan.excluded is None and covered[i]:
+                n = len(covered)
+                while True:
+                    used += slot_ns
+                    i += 1
+                    if i == n or not covered[i] or used >= budget_ns:
+                        break
+                scan.i = i
+                continue
+            scan.i = i + 1
+            process = scan.process
+            va, size = entry.slots[i]
+            if scan.excluded is not None and scan.excluded(process, va, size):
+                continue
+            used += slot_ns
+            if covered[i]:
+                continue
+            used += self._try_promote(process, va, size, budget_ns - used)
+            table = process.pagetable
+            entry.revalidate(table)
+            leaf = table.translate(va)
+            if leaf is not None and leaf.page_size >= size:
+                covered[i] = 1
+        return used
+
+    def _process_slots(self, process) -> _ProcessSlots:
+        """``process``'s cached candidates, rebuilt if its VMAs changed."""
+        aspace = process.aspace
+        table = process.pagetable
+        entry = self._slot_cache.get(process)
+        if entry is None or entry.generation != aspace.generation:
+            entry = _ProcessSlots(
+                aspace.generation,
+                self._scan_slots(aspace.iter_extents()),
+                table.nonbase_unmaps,
+            )
+            self._slot_cache[process] = entry
+        else:
+            entry.revalidate(table)
+        return entry
+
+    def _scan_slots(self, extents) -> list[tuple[int, int]]:
+        """Candidate (va, level) slots of one address space, scan order."""
+        geometry = self.kernel.geometry
+        thp = geometry.thp_level
+        return [
+            (start, thp)
+            for vma in extents
+            for start, _ in mappable_ranges(vma, thp, geometry)
+        ]
+
+    def _scan_prefix(self) -> list[tuple]:
+        """(process, va, level) candidates a pass scans before the
+        sequential order; taken when the pass starts."""
+        return []
+
+    def _reach_prefix(self, process, va: int) -> None:
+        """Hook run as the cursor reaches a prefix candidate."""
+
+    def _leave_prefix(self, prefix: list[tuple]) -> Callable | None:
+        """Hook run as the cursor leaves the prefix.
+
+        Returns a ``(process, va, level) -> bool`` test for sequential
+        candidates to pass over uncharged, or None to exclude none.  The
+        test runs when the cursor reaches each candidate.
+        """
+        return None
 
     # -- promotion mechanics (shared with subclasses) ---------------------------
     def _slot_contents(
@@ -164,8 +314,11 @@ class THPPolicy(MemoryPolicy):
             return None
         nbytes = geometry.bytes_for(page_size)
         present: list[Mapping] = []
+        present_bytes = 0
         for size in range(page_size):
-            present.extend(table.mappings_in_range(va, nbytes, size))
+            found = table.mappings_in_range(va, nbytes, size)
+            present.extend(found)
+            present_bytes += len(found) * geometry.bytes_for(size)
         if not present:
             return None
         min_fraction = (
@@ -173,7 +326,6 @@ class THPPolicy(MemoryPolicy):
             if page_size == geometry.thp_level
             else 0.0
         )
-        present_bytes = sum(geometry.bytes_for(m.page_size) for m in present)
         if present_bytes < min_fraction * nbytes:
             return None
         return present

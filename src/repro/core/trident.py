@@ -22,7 +22,6 @@ Trident-1Gonly, ``smart_compaction=False`` gives Trident-NC.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator
 
 from repro.core.thp import THPPolicy
 from repro.vm.fault import candidate_page_sizes
@@ -121,31 +120,33 @@ class TridentPolicy(THPPolicy):
             self.stats.daemon_ns += used
         return used
 
-    def _candidate_stream(self) -> Iterator[tuple]:
-        """Figure 5 scan order: top-level slots first, then each lower
-        level's leftover slots outside the next level up's interior."""
+    def _scan_slots(self, extents) -> list[tuple[int, int]]:
+        """Figure 5 scan order, per extent: top-level slots first, then
+        each lower level's leftover slots outside the next level up's
+        interior."""
         geometry = self.kernel.geometry
         top = geometry.top_level
-        for process in list(self.kernel.processes):
-            for vma in process.aspace.iter_extents():
-                for start, _ in mappable_ranges(vma, top, geometry):
-                    yield process, start, top
-                if not self.use_mid:
-                    continue
-                for level in range(top - 1, 0, -1):
-                    # Slots outside the (level+1)-mappable interior — the
-                    # interiors nest, so checking one level up suffices.
-                    # The covering slots are sorted and disjoint, so one
-                    # bisect per slot replaces the O(n x m) linear overlap
-                    # scan — many-VMA address spaces keep khugepaged's
-                    # pass linear overall.
-                    covered = list(mappable_ranges(vma, level + 1, geometry))
-                    starts = [s for s, _ in covered]
-                    for start, _ in mappable_ranges(vma, level, geometry):
-                        i = bisect_right(starts, start) - 1
-                        inside = i >= 0 and start < covered[i][1]
-                        if not inside:
-                            yield process, start, level
+        slots: list[tuple[int, int]] = []
+        for vma in extents:
+            slots.extend(
+                (start, top) for start, _ in mappable_ranges(vma, top, geometry)
+            )
+            if not self.use_mid:
+                continue
+            for level in range(top - 1, 0, -1):
+                # Slots outside the (level+1)-mappable interior — the
+                # interiors nest, so checking one level up suffices.
+                # The covering slots are sorted and disjoint, so one
+                # bisect per slot replaces the O(n x m) linear overlap
+                # scan — many-VMA address spaces keep the build linear.
+                covered = list(mappable_ranges(vma, level + 1, geometry))
+                starts = [s for s, _ in covered]
+                for start, _ in mappable_ranges(vma, level, geometry):
+                    i = bisect_right(starts, start) - 1
+                    inside = i >= 0 and start < covered[i][1]
+                    if not inside:
+                        slots.append((start, level))
+        return slots
 
     def _try_promote(
         self, process, va: int, page_size: int, budget_ns: float = float("inf")

@@ -13,8 +13,6 @@ Promotion mechanics, compaction and the fault path are unchanged Trident.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.core.trident import TridentPolicy
 
 
@@ -56,22 +54,22 @@ class TridentHeatPolicy(TridentPolicy):
         self.stats.daemon_ns += used
         return used
 
-    def _candidate_stream(self) -> Iterator[tuple]:
+    def _scan_prefix(self) -> list[tuple]:
         """Hottest large slots first; then Trident's sequential order."""
-        geometry = self.kernel.geometry
-        top = geometry.top_level
+        top = self.kernel.geometry.top_level
         by_pid = {p.pid: p for p in self.kernel.processes}
         ranked = sorted(self._heat.items(), key=lambda kv: -kv[1])
-        seen: set[tuple[int, int]] = set()
-        for (pid, va), _ in ranked:
-            process = by_pid.get(pid)
-            if process is not None:
-                seen.add((pid, va))
-                yield process, va, top
+        return [
+            (by_pid[pid], va, top) for (pid, va), _ in ranked if pid in by_pid
+        ]
+
+    def _leave_prefix(self, prefix: list[tuple]):
         # Decay so stale heat fades between passes.
         self._heat = {k: v // 2 for k, v in self._heat.items() if v > 1}
-        for candidate in super()._candidate_stream():
-            process, va, size = candidate
-            if size == top and (process.pid, va) in seen:
-                continue
-            yield candidate
+        if not prefix:
+            return None
+        top = self.kernel.geometry.top_level
+        seen = {(process.pid, va) for process, va, _ in prefix}
+        return lambda process, va, size: (
+            size == top and (process.pid, va) in seen
+        )

@@ -65,6 +65,12 @@ class AddressSpace:
         self._starts: list[int] = []  # sorted VMA start addresses
         self._vmas: dict[int, VMA] = {}
         self._holes: list[_Hole] = []  # sorted by start
+        #: bumped whenever the VMA set changes (mmap or munmap); caches of
+        #: anything derived from the VMAs compare it to stay exact
+        self.generation = 0
+        self._extents: tuple[VMA, ...] = ()
+        self._extent_starts: list[int] = []
+        self._extents_generation = 0
 
     # -- queries ------------------------------------------------------------
     def __len__(self) -> int:
@@ -86,7 +92,7 @@ class AddressSpace:
     def mapped_bytes(self) -> int:
         return sum(v.length for v in self._vmas.values())
 
-    def iter_extents(self) -> list[VMA]:
+    def iter_extents(self) -> tuple[VMA, ...]:
         """Maximal runs of adjacent same-name VMAs, as synthetic VMAs.
 
         Linux merges adjacent anonymous mappings into one VMA; an
@@ -94,44 +100,35 @@ class AddressSpace:
         purposes even though it was built from many small mmaps.  We keep
         the individual VMAs (so munmap of an original allocation stays
         trivial) and expose the merged view here — this is the view the
-        fault handler and khugepaged scan.
+        fault handler and khugepaged scan.  The view is rebuilt only when
+        :attr:`generation` moves; the returned tuple is shared, not copied.
         """
-        extents: list[VMA] = []
-        for vma in self.iter_vmas():
-            if (
-                extents
-                and extents[-1].end == vma.start
-                and extents[-1].name == vma.name
-            ):
-                extents[-1] = VMA(extents[-1].start, vma.end, vma.name)
-            else:
-                extents.append(VMA(vma.start, vma.end, vma.name))
-        return extents
+        if self._extents_generation != self.generation:
+            extents: list[VMA] = []
+            run: VMA | None = None
+            end = 0
+            for vma in self.iter_vmas():
+                if run is not None and end == vma.start and run.name == vma.name:
+                    end = vma.end
+                    continue
+                if run is not None:
+                    extents.append(VMA(run.start, end, run.name))
+                run, end = vma, vma.end
+            if run is not None:
+                extents.append(VMA(run.start, end, run.name))
+            self._extents = tuple(extents)
+            self._extent_starts = [e.start for e in extents]
+            self._extents_generation = self.generation
+        return self._extents
 
     def extent_of(self, addr: int) -> VMA | None:
         """The merged extent containing ``addr``, or None."""
-        vma = self.find_vma(addr)
-        if vma is None:
+        extents = self.iter_extents()
+        i = bisect.bisect_right(self._extent_starts, addr) - 1
+        if i < 0:
             return None
-        start, end = vma.start, vma.end
-        i = self._starts.index(vma.start)
-        j = i
-        while j > 0:
-            prev = self._vmas[self._starts[j - 1]]
-            if prev.end == start and prev.name == vma.name:
-                start = prev.start
-                j -= 1
-            else:
-                break
-        j = i
-        while j + 1 < len(self._starts):
-            nxt = self._vmas[self._starts[j + 1]]
-            if nxt.start == end and nxt.name == vma.name:
-                end = nxt.end
-                j += 1
-            else:
-                break
-        return VMA(start, end, vma.name)
+        extent = extents[i]
+        return extent if addr < extent.end else None
 
     # -- mmap/munmap ----------------------------------------------------------
     def mmap(
@@ -189,6 +186,7 @@ class AddressSpace:
             )
         self._starts.remove(start)
         del self._vmas[start]
+        self.generation += 1
         self._add_hole(vma.start, vma.end)
         return vma
 
@@ -196,6 +194,27 @@ class AddressSpace:
     def _insert(self, vma: VMA) -> None:
         bisect.insort(self._starts, vma.start)
         self._vmas[vma.start] = vma
+        self.generation += 1
+        if self._extents_generation == self.generation - 1:
+            # Splice the new VMA into the current extents instead of
+            # rebuilding them: incrementally grown heaps mmap and fault
+            # alternately, so a rebuild per mmap would be quadratic.
+            self._splice_extent(vma)
+            self._extents_generation = self.generation
+
+    def _splice_extent(self, vma: VMA) -> None:
+        extents = self._extents
+        starts = self._extent_starts
+        i = bisect.bisect_right(starts, vma.start)
+        lo, hi, start, end = i, i, vma.start, vma.end
+        left = extents[i - 1] if i else None
+        if left is not None and left.end == start and left.name == vma.name:
+            lo, start = i - 1, left.start
+        right = extents[i] if i < len(extents) else None
+        if right is not None and right.start == end and right.name == vma.name:
+            hi, end = i + 1, right.end
+        self._extents = extents[:lo] + (VMA(start, end, vma.name),) + extents[hi:]
+        starts[lo:hi] = [start]
 
     def _overlaps(self, start: int, end: int) -> bool:
         i = bisect.bisect_right(self._starts, start) - 1

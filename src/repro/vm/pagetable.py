@@ -74,6 +74,9 @@ class PageTable:
         self._node_of = None
         self._node_frames: list[int] | None = None
         self._resident_frames = 0
+        #: leaves above the base level ever unmapped; the only event that
+        #: can uncover a slot once a leaf at least its size has covered it
+        self.nonbase_unmaps = 0
 
     # -- helpers --------------------------------------------------------------
     def vpn(self, va: int, page_size: int) -> int:
@@ -134,6 +137,8 @@ class PageTable:
             raise ValueError(
                 f"no {self.geometry.name_of(page_size)} mapping at va {va:#x}"
             )
+        if page_size:
+            self.nonbase_unmaps += 1
         if self._node_frames is not None:
             frames = self.geometry.frames_for(page_size)
             self._node_frames[self._node_of(mapping.pfn)] -= frames
@@ -271,14 +276,10 @@ class PageTable:
                 (m for m in level.values() if start <= m.va < end),
                 key=lambda m: m.va,
             )
-        result = []
-        va = self.geometry.align_up(start, page_size)
-        while va < end:
-            m = level.get(self.vpn(va, page_size))
-            if m is not None:
-                result.append(m)
-            va += page_bytes
-        return result
+        shift = self._shifts[page_size]
+        first = self.geometry.align_up(start, page_size) >> shift
+        last = (end - 1) >> shift
+        return [m for m in map(level.get, range(first, last + 1)) if m is not None]
 
     # -- access bits ------------------------------------------------------------
     def clear_access_bits(self) -> None:

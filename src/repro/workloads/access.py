@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: accesses interleaved per vectorized step of :func:`mixture`
+_MIXTURE_CHUNK = 1 << 15
+
 
 def uniform(rng: np.random.Generator, base: int, size: int, n: int) -> np.ndarray:
     """n addresses uniformly random in [base, base+size)."""
@@ -90,10 +93,16 @@ def mixture(
     weights = weights / weights.sum()
     choice = rng.choice(len(parts), size=n, p=weights)
     out = np.empty(n, dtype=np.int64)
-    cursors = [0] * len(parts)
-    pools = [pool for _, pool in parts]
-    for i, c in enumerate(choice):
-        pool = pools[c]
-        out[i] = pool[cursors[c] % len(pool)]
-        cursors[c] += 1
+    pools = [np.asarray(pool) for _, pool in parts]
+    drawn = [0] * len(parts)  # accesses each source has supplied so far
+    # The k-th draw of source c takes pool[k % len(pool)].  Chunking keeps
+    # the index temporaries small next to the stream itself.
+    for lo in range(0, n, _MIXTURE_CHUNK):
+        block = choice[lo : lo + _MIXTURE_CHUNK]
+        for c, pool in enumerate(pools):
+            pos = np.flatnonzero(block == c)
+            if len(pos):
+                k = drawn[c]
+                out[lo + pos] = pool[np.arange(k, k + len(pos)) % len(pool)]
+                drawn[c] = k + len(pos)
     return out

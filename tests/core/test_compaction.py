@@ -229,3 +229,38 @@ class TestNormalCompactor:
         normal.compact(GEOM.large_order)
         assert normal.stats.attempts == 2
         assert normal.stats.bytes_copied >= 0
+
+
+class TestBlocksInRegion:
+    @staticmethod
+    def _frame_walk(compactor, region):
+        """The frame-by-frame reference walk."""
+        start = compactor.regions.region_start(region)
+        end = start + compactor.regions.frames_per_region
+        blocks, pfn = [], start
+        while pfn < end:
+            if compactor.buddy.frame_state[pfn] == 0:
+                pfn += 1
+                continue
+            order, movable = compactor.buddy.allocation_at(pfn)
+            blocks.append((pfn, order, movable))
+            pfn += 1 << order
+        return blocks
+
+    def test_matches_frame_walk_on_mixed_orders(self):
+        buddy, tracker, rmap = make_system(n_regions=4)
+        compactor = NormalCompactor(buddy, tracker, rmap, GEOM, CostModel())
+        rng = random.Random(5)
+        live = []
+        for _ in range(300):
+            order = rng.choice((0, 0, 0, 1, 2, 3))
+            pfn = buddy.try_alloc(order, movable=rng.random() < 0.9)
+            if pfn is not None:
+                live.append(pfn)
+        for pfn in rng.sample(live, len(live) // 3):
+            buddy.free(pfn)
+        assert any(self._frame_walk(compactor, r) for r in range(4))
+        for region in range(4):
+            assert compactor._blocks_in_region(region) == self._frame_walk(
+                compactor, region
+            )

@@ -1,4 +1,4 @@
-"""khugepaged candidate-stream order (Figure 5 scan) after the bisect rewrite."""
+"""khugepaged candidate order (Figure 5 scan): the per-process slot builder."""
 
 from repro.config import default_machine
 from repro.core.trident import TridentPolicy
@@ -37,7 +37,12 @@ def naive_candidates(policy):
 
 
 def stream_of(policy):
-    return [(p.pid, start, size) for p, start, size in policy._candidate_stream()]
+    """One pass's sequential order: each process's cached slot list."""
+    return [
+        (p.pid, start, size)
+        for p in policy.kernel.processes
+        for start, size in policy._process_slots(p).slots
+    ]
 
 
 class TestCandidateStreamOrder:

@@ -56,5 +56,7 @@ class TestTridentHeat:
         system, p = make()
         policy = system.policy
         policy._heat[(p.pid, 0)] = 8
-        list(policy._candidate_stream())
+        # One full pass: the hot (unmapped) slot, then no sequential slots.
+        policy._scan(budget_ns=1e9)
+        assert policy._pass is None
         assert policy._heat.get((p.pid, 0), 0) == 4

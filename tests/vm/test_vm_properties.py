@@ -134,3 +134,78 @@ def test_mappable_ranges_are_aligned_and_inside(pages, size):
         assert start % G.bytes_for(size) == 0
         assert end - start == G.bytes_for(size)
         assert vma.start <= start and end <= vma.end
+
+
+def _naive_extents(aspace):
+    """Merged same-name runs recomputed from the VMAs, no cache."""
+    extents = []
+    for vma in aspace.iter_vmas():
+        if extents and extents[-1][1] == vma.start and extents[-1][2] == vma.name:
+            extents[-1] = (extents[-1][0], vma.end, vma.name)
+        else:
+            extents.append((vma.start, vma.end, vma.name))
+    return extents
+
+
+extent_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("mmap", "mmap", "munmap", "query")),
+        st.integers(1, 40),
+        st.sampled_from(("heap", "heap", "stack")),
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+@given(extent_ops)
+@settings(max_examples=80)
+def test_cached_extents_match_recomputation(ops):
+    """The generation-cached extents (spliced on mmap, rebuilt after
+    munmap) always equal a fresh merge of the VMAs, and extent_of agrees
+    with them at every VMA boundary."""
+    aspace = AddressSpace(G)
+    starts = []
+    for op, n, name in ops:
+        if op == "mmap":
+            starts.append(aspace.mmap(n * BASE, name=name).start)
+        elif op == "munmap" and starts:
+            aspace.munmap(starts.pop(n % len(starts)))
+        extents = aspace.iter_extents()
+        assert [(e.start, e.end, e.name) for e in extents] == _naive_extents(aspace)
+        for vma in aspace.iter_vmas():
+            for addr in (vma.start, vma.end - 1):
+                extent = aspace.extent_of(addr)
+                assert extent.start <= addr < extent.end
+                assert extent in extents
+            assert aspace.extent_of(vma.end) in (None, *extents)
+        assert aspace.extent_of(0) is None
+
+
+@given(
+    page_specs,
+    st.integers(0, 63 * MID),
+    st.integers(0, 8 * MID),
+    st.sampled_from((LVL_BASE, LVL_MID)),
+)
+@settings(max_examples=80)
+def test_mappings_in_range_matches_filter(specs, offset, length, size):
+    """Both lookup strategies (slot walk and full scan) return exactly the
+    ``size`` mappings whose va lies in the range, in va order."""
+    table = PageTable(G)
+    for slot, level in specs:
+        try:
+            table.map_page(VA0 + slot * MID, level, slot)
+        except ValueError:  # misaligned or overlapping: not mapped
+            pass
+    for extra in range(0, 4 * MID, 3 * BASE):  # base pages off slot starts
+        try:
+            table.map_page(VA0 + 20 * MID + extra, LVL_BASE, 0)
+        except ValueError:  # misaligned or overlapping: not mapped
+            pass
+    start = VA0 + offset
+    want = sorted(
+        (m for m in table.iter_mappings(size) if start <= m.va < start + length),
+        key=lambda m: m.va,
+    )
+    assert table.mappings_in_range(start, length, size) == want

@@ -102,6 +102,40 @@ class TestAccessPatterns:
         with pytest.raises(ValueError):
             access.mixture(rng, [(0.0, np.zeros(1, dtype=np.int64))], 10)
 
+    @staticmethod
+    def _mixture_loop(rng, parts, n):
+        """The per-access reference: draw a source, take its next element."""
+        weights = np.array([w for w, _ in parts], dtype=np.float64)
+        choice = rng.choice(len(parts), size=n, p=weights / weights.sum())
+        out = np.empty(n, dtype=np.int64)
+        cursors = [0] * len(parts)
+        for i, c in enumerate(choice):
+            pool = parts[c][1]
+            out[i] = pool[cursors[c] % len(pool)]
+            cursors[c] += 1
+        return out
+
+    @pytest.mark.parametrize("chunk", [7, access._MIXTURE_CHUNK])
+    def test_mixture_matches_per_access_reference(self, chunk, monkeypatch):
+        monkeypatch.setattr(access, "_MIXTURE_CHUNK", chunk)
+        cases = np.random.default_rng(99)
+        for _ in range(30):
+            k = int(cases.integers(1, 5))
+            weights = cases.random(k)
+            weights[cases.random(k) < 0.25] = 0.0  # some sources never drawn
+            if weights.sum() == 0:
+                weights[0] = 1.0
+            parts = [
+                (float(w), cases.integers(0, 1 << 40, int(cases.integers(1, 60))))
+                for w in weights
+            ]
+            parts[0] = (parts[0][0], list(parts[0][1][:1]))  # 1-element list
+            seed, n = int(cases.integers(0, 1 << 30)), int(cases.integers(0, 3000))
+            got = access.mixture(np.random.default_rng(seed), parts, n)
+            want = self._mixture_loop(np.random.default_rng(seed), parts, n)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
 
 class TestRegistry:
     def test_all_twelve_workloads_present(self):
