@@ -7,32 +7,40 @@ declared in ``BENCHMARK.json`` it prints each side's median and quartiles,
 the relative change of the medians, how many pairs the change won, and
 whether the medians differ by more than the parent's interquartile range.
 
-It then runs ``--trace 1`` once per side for each of ``--trace-seeds`` and
-diffs what must not move: the run digest, the ``sim_*`` metrics and every
-count metric.  The exit status is 1 when any of those differ (or a run
-fails), 0 otherwise.
+It then runs ``--trace 1`` once per side on seeds 1 and 7 and diffs what
+must not move: the run digest, the ``sim_*`` metrics and every count
+metric.  The exit status is 1 when any of those differ (or a run fails),
+0 otherwise.
 
-The parent is checked out with ``git worktree`` into a temporary directory
-and removed afterwards; ``--parent-dir`` uses an existing checkout instead.
-Nothing under ``perfbench/`` or the benchmark declarations is written.
+The parent revision is exported with ``git archive`` into a temporary
+directory, so it holds exactly the committed files of that revision and
+leaves nothing registered in the repository; the directory is removed
+afterwards.  Nothing under ``perfbench/`` or the benchmark declarations is
+written.
 
-Run from anywhere inside the repository:
+Run from anywhere inside the repository, naming the parent explicitly
+(``HEAD`` to measure uncommitted changes, ``HEAD~1`` for the last commit):
 
-    python scripts/bench_pairs.py --workload frag-fault --seed 1 --pairs 10 \\
-        --seconds 20 [--parent HEAD] [--trace-seeds 1,7] [--json-out F]
+    python scripts/bench_pairs.py --workload frag-fault --parent HEAD~1 \\
+        --seed 1 --pairs 10 --seconds 20
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACE_SEEDS = (1, 7)
+TRACE_SECONDS = 3.0
 
 
 def run_bench(tree: str, workload: str, seed: int, seconds: float,
@@ -90,9 +98,9 @@ def pairs_table(
         cm, cq1, cq3 = summarize(chg)
         better = (cm < pm) if lower else (cm > pm)
         rows.append({
-            "metric": name, "unit": metric["unit"], "better": metric["better"],
-            "parent": {"median": pm, "q1": pq1, "q3": pq3, "runs": par},
-            "change": {"median": cm, "q1": cq1, "q3": cq3, "runs": chg},
+            "metric": name,
+            "parent": {"median": pm, "q1": pq1, "q3": pq3},
+            "change": {"median": cm, "q1": cq1, "q3": cq3},
             "delta": (cm - pm) / pm if pm else 0.0,
             "wins": wins,
             "beyond_parent_iqr": better and abs(cm - pm) > (pq3 - pq1),
@@ -117,12 +125,12 @@ def print_table(rows: list[dict], args) -> None:
         )
 
 
-def trace_diff(parent: str, change: str, args) -> tuple[list[dict], bool]:
+def trace_diff(parent: str, change: str, args) -> bool:
     """Digest, sim_* and count metrics of one --trace 1 run per seed."""
-    reports, ok = [], True
-    for seed in args.trace_seeds:
+    ok = True
+    for seed in TRACE_SEEDS:
         runs = {
-            side: run_bench(tree, args.workload, seed, args.trace_seconds, 1)
+            side: run_bench(tree, args.workload, seed, TRACE_SECONDS, 1)
             for side, tree in (("parent", parent), ("change", change))
         }
         diffs = []
@@ -151,59 +159,42 @@ def trace_diff(parent: str, change: str, args) -> tuple[list[dict], bool]:
         moved = sorted(layers.items(), key=lambda kv: kv[1][1] - kv[1][0])
         for name, (pv, cv) in moved[:3]:
             print(f"  {name:<28} {pv:8.3f} s -> {cv:8.3f} s")
-        reports.append({"seed": seed, "diffs": diffs, "layers_s": layers})
-    return reports, ok
+    return ok
+
+
+def export_revision(revision: str) -> str:
+    """The committed files of ``revision`` in a new temporary directory."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", revision],
+        cwd=ROOT, check=True, capture_output=True,
+    ).stdout
+    tree = tempfile.mkdtemp(prefix="bench-parent-")
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree)
+    return tree
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
+    parser.add_argument("--parent", required=True,
+                        help="git revision to compare the working tree against")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--parent", default="HEAD",
-                        help="git revision to compare against (default HEAD, "
-                             "i.e. the uncommitted changes; use HEAD~1 once "
-                             "the change is committed)")
-    parser.add_argument("--parent-dir",
-                        help="an existing checkout of the parent to use")
-    parser.add_argument("--trace-seeds", default="1,7",
-                        help="comma-separated seeds for the --trace 1 diff "
-                             "('' skips it)")
-    parser.add_argument("--trace-seconds", type=float, default=3.0)
-    parser.add_argument("--json-out", help="write every sample here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    args.trace_seeds = [int(s) for s in args.trace_seeds.split(",") if s]
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         declared = json.load(f)["end_to_end"]
 
-    worktree = None
-    parent = args.parent_dir
-    if parent is None:
-        worktree = tempfile.mkdtemp(prefix="bench-parent-")
-        subprocess.run(
-            ["git", "worktree", "add", "--detach", worktree, args.parent],
-            cwd=ROOT, check=True, capture_output=True,
-        )
-        parent = worktree
+    parent = export_revision(args.parent)
     try:
         rows, ok = pairs_table(parent, ROOT, args, declared)
         print_table(rows, args)
-        traces, traces_ok = trace_diff(parent, ROOT, args)
-        ok &= traces_ok
+        ok &= trace_diff(parent, ROOT, args)
     finally:
-        if worktree is not None:
-            subprocess.run(
-                ["git", "worktree", "remove", "--force", worktree],
-                cwd=ROOT, capture_output=True,
-            )
-    if args.json_out:
-        with open(args.json_out, "w") as f:
-            json.dump({"workload": args.workload, "seed": args.seed,
-                       "seconds": args.seconds, "pairs": rows,
-                       "traces": traces}, f, indent=1)
+        shutil.rmtree(parent, ignore_errors=True)
     return 0 if ok else 1
 
 

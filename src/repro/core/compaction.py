@@ -247,20 +247,21 @@ class _CompactorBase:
         """(start_pfn, order, movable) of allocations inside ``region``."""
         start = self.regions.region_start(region)
         end = start + self.regions.frames_per_region
-        # Only an occupied frame can start a block.
-        occupied = np.flatnonzero(
-            self.buddy.frame_state[start:end] != FrameState.FREE
-        )
+        # Every frame of a live block is occupied, so the next block starts
+        # 1 << order occupied frames after this one: one step per block.
+        occupied = (
+            np.flatnonzero(self.buddy.frame_state[start:end] != FrameState.FREE)
+            + start
+        ).tolist()
         blocks = []
-        block_end = 0
-        for pfn in (occupied + start).tolist():
-            if pfn < block_end:
-                continue  # inside the previous block
+        i = 0
+        while i < len(occupied):
+            pfn = occupied[i]
             rec = self.buddy.allocation_at(pfn)
             assert rec is not None, f"frame {pfn} occupied but no block starts here"
             order, movable = rec
             blocks.append((pfn, order, movable))
-            block_end = pfn + (1 << order)
+            i += 1 << order
         return blocks
 
 

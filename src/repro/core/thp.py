@@ -314,11 +314,8 @@ class THPPolicy(MemoryPolicy):
             return None
         nbytes = geometry.bytes_for(page_size)
         present: list[Mapping] = []
-        present_bytes = 0
         for size in range(page_size):
-            found = table.mappings_in_range(va, nbytes, size)
-            present.extend(found)
-            present_bytes += len(found) * geometry.bytes_for(size)
+            present.extend(table.mappings_in_range(va, nbytes, size))
         if not present:
             return None
         min_fraction = (
@@ -326,6 +323,7 @@ class THPPolicy(MemoryPolicy):
             if page_size == geometry.thp_level
             else 0.0
         )
+        present_bytes = sum(geometry.bytes_for(m.page_size) for m in present)
         if present_bytes < min_fraction * nbytes:
             return None
         return present

@@ -276,10 +276,14 @@ class PageTable:
                 (m for m in level.values() if start <= m.va < end),
                 key=lambda m: m.va,
             )
-        shift = self._shifts[page_size]
-        first = self.geometry.align_up(start, page_size) >> shift
-        last = (end - 1) >> shift
-        return [m for m in map(level.get, range(first, last + 1)) if m is not None]
+        result = []
+        va = self.geometry.align_up(start, page_size)
+        while va < end:
+            m = level.get(self.vpn(va, page_size))
+            if m is not None:
+                result.append(m)
+            va += page_bytes
+        return result
 
     # -- access bits ------------------------------------------------------------
     def clear_access_bits(self) -> None:

@@ -180,32 +180,3 @@ def test_cached_extents_match_recomputation(ops):
                 assert extent in extents
             assert aspace.extent_of(vma.end) in (None, *extents)
         assert aspace.extent_of(0) is None
-
-
-@given(
-    page_specs,
-    st.integers(0, 63 * MID),
-    st.integers(0, 8 * MID),
-    st.sampled_from((LVL_BASE, LVL_MID)),
-)
-@settings(max_examples=80)
-def test_mappings_in_range_matches_filter(specs, offset, length, size):
-    """Both lookup strategies (slot walk and full scan) return exactly the
-    ``size`` mappings whose va lies in the range, in va order."""
-    table = PageTable(G)
-    for slot, level in specs:
-        try:
-            table.map_page(VA0 + slot * MID, level, slot)
-        except ValueError:  # misaligned or overlapping: not mapped
-            pass
-    for extra in range(0, 4 * MID, 3 * BASE):  # base pages off slot starts
-        try:
-            table.map_page(VA0 + 20 * MID + extra, LVL_BASE, 0)
-        except ValueError:  # misaligned or overlapping: not mapped
-            pass
-    start = VA0 + offset
-    want = sorted(
-        (m for m in table.iter_mappings(size) if start <= m.va < start + length),
-        key=lambda m: m.va,
-    )
-    assert table.mappings_in_range(start, length, size) == want
